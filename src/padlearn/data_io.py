@@ -93,9 +93,11 @@ def write_ppm(t, path):
     t = np.asarray(t)
     if t.ndim != 3 or t.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3), got {t.shape}")
-    if t.min() < 0.0 or t.max() > 1.0:
+    lo, hi = t.min(), t.max()
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (lo >= 0.0 and hi <= 1.0):
         raise ValueError(
-            f"values must be in [0, 1], got range [{t.min()}, {t.max()}]"
+            f"values must be finite and in [0, 1], got range [{lo}, {hi}]"
         )
     h, w = t.shape[:2]
     payload = np.floor(t.astype(np.float64) * 255.0 + 0.5).astype(np.uint8)
@@ -131,6 +133,8 @@ def read_ppm(path):
         raise ValueError(f"{path}: expected P6 magic, got {magic!r}")
     (w, _), (h, _), (maxval, end) = next(it), next(it), next(it)
     w, h, maxval = int(w), int(h), int(maxval)
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: width and height must be positive, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     data = blob[end + 1 : end + 1 + h * w * 3]

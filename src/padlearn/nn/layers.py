@@ -4,11 +4,17 @@ Every layer caches what its backward pass needs during forward. Convolution
 is valid cross-correlation after the attached padding strategy has run; its
 input gradient flows back through the same strategy, which for all supported
 paddings passes only the interior gradient upstream.
+
+A padding's ``backward(None)`` means "update only": no gradient is wanted,
+so the strategy runs its train-mode local update, if one is due, and
+returns None. The network's first convolution uses it, since nothing
+consumes the gradient with respect to the network's input.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ZeroPad:
@@ -27,20 +33,19 @@ class ZeroPad:
 
     def backward(self, g):
         s = self.pad_size
-        if s == 0:
+        if g is None or s == 0:
             return g
         return g[:, s:-s, s:-s, :]
 
 
 def _im2col(xp, k):
-    # (N, Hp, Wp, C) -> (N*Ho*Wo, k*k*C), window-major rows
+    # (N, Hp, Wp, C) -> (N*Ho*Wo, k*k*C), window-major rows; the reshape of
+    # the transposed window view is the only copy
     n, hp, wp, c = xp.shape
     ho, wo = hp - k + 1, wp - k + 1
-    cols = np.empty((n, ho, wo, k, k, c), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, :, i, j, :] = xp[:, i : i + ho, j : j + wo, :]
-    return cols.reshape(n * ho * wo, k * k * c), ho, wo
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N, Ho, Wo, C, k, k)
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * c)
+    return cols, ho, wo
 
 
 def _col2im(dcols, shape, k, ho, wo):
@@ -88,19 +93,28 @@ class Conv2D:
             )
         xp = self.padding.forward(x)
         cols, ho, wo = _im2col(xp, self.k)
-        y = cols @ self.w.reshape(-1, self.out_channels) + self.b
+        y = cols @ self.w.reshape(-1, self.out_channels)
+        y += self.b  # in place: one output-sized array fewer at peak
         self._cols = cols
         self._xp_shape = xp.shape
         self._out_hw = (ho, wo)
         return y.reshape(x.shape[0], ho, wo, self.out_channels)
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
+        """Set dw and db; return the input gradient.
+
+        With ``need_dx=False`` the input gradient is skipped: the padding
+        still gets its ``backward(None)`` call, so a learnable padding takes
+        its local update, and None is returned.
+        """
         if self._cols is None:
             raise RuntimeError("backward before forward")
         ho, wo = self._out_hw
         dy_flat = dy.reshape(-1, self.out_channels)
         self.dw = (self._cols.T @ dy_flat).reshape(self.w.shape)
         self.db = dy_flat.sum(axis=0)
+        if not need_dx:
+            return self.padding.backward(None)
         dcols = dy_flat @ self.w.reshape(-1, self.out_channels).T
         dxp = _col2im(dcols, self._xp_shape, self.k, ho, wo)
         return self.padding.backward(dxp)
@@ -118,10 +132,10 @@ class Conv2D:
 class ReLU:
     def forward(self, x):
         self._mask = x > 0
-        return np.where(self._mask, x, 0)
+        return np.maximum(x, 0)
 
     def backward(self, dy):
-        return np.where(self._mask, dy, 0)
+        return dy * self._mask
 
     def params(self):
         return []
@@ -130,25 +144,35 @@ class ReLU:
         return []
 
 
+def _quarter(a, k):
+    # block position k = 2*row + col of every 2x2 block, as a strided view
+    return a[:, k // 2 :: 2, k % 2 :: 2]
+
+
 class MaxPool2x2:
-    """2x2 max pooling, stride 2; backward routes to the first argmax."""
+    """2x2 max pooling, stride 2; backward routes to the first maximum of
+    each block, in row-major block order, as ``argmax`` would."""
 
     def forward(self, x):
         n, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"spatial dims must be even, got {h}x{w}")
-        blocks = x.reshape(n, h // 2, 2, w // 2, 2, c)
-        flat = blocks.transpose(0, 1, 3, 5, 2, 4).reshape(n, h // 2, w // 2, c, 4)
-        self._argmax = flat.argmax(axis=-1)
+        q0, q1, q2, q3 = (_quarter(x, k) for k in range(4))
+        top = np.maximum(q0, q1)
+        bottom = np.maximum(q2, q3)
+        # strict comparisons keep the first of equal maxima, in each pair
+        # and between the pairs
+        self._index = np.where(bottom > top,
+                               (q3 > q2).view(np.uint8) + np.uint8(2),
+                               (q1 > q0).view(np.uint8))
         self._in_shape = x.shape
-        return np.take_along_axis(flat, self._argmax[..., None], axis=-1)[..., 0]
+        return np.maximum(top, bottom, out=top)
 
     def backward(self, dy):
-        n, h, w, c = self._in_shape
-        routed = np.zeros((n, h // 2, w // 2, c, 4), dtype=dy.dtype)
-        np.put_along_axis(routed, self._argmax[..., None], dy[..., None], axis=-1)
-        blocks = routed.reshape(n, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-        return blocks.reshape(n, h, w, c)
+        dx = np.empty(self._in_shape, dtype=dy.dtype)
+        for k in range(4):
+            np.multiply(dy, self._index == k, out=_quarter(dx, k))
+        return dx
 
     def params(self):
         return []

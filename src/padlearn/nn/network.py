@@ -47,7 +47,8 @@ class NetworkSpec:
 
 
 class Network:
-    """A layer pipeline with the plumbing the training loop needs."""
+    """A layer pipeline, starting with a Conv2D, with the plumbing the
+    training loop needs."""
 
     def __init__(self, layers, modules):
         self.layers = layers
@@ -59,9 +60,15 @@ class Network:
         return x
 
     def backward(self, dy):
-        for layer in reversed(self.layers):
+        """Fill every layer's gradients from the loss gradient `dy`.
+
+        Returns nothing: no caller needs the gradient with respect to the
+        network's input, so the first convolution skips it.
+        """
+        first, *rest = self.layers
+        for layer in reversed(rest):
             dy = layer.backward(dy)
-        return dy
+        first.backward(dy, need_dx=False)
 
     def params(self):
         return [p for layer in self.layers for p in layer.params()]

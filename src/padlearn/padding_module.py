@@ -355,7 +355,9 @@ class PaddingModule:
     In train mode, ``forward`` caches the supervision pair built from the
     original input; ``backward`` then updates the filters from that cache
     and strips the padded-ring gradients, returning only the interior. In
-    eval mode ``forward`` is pure and ``backward`` only strips.
+    eval mode ``forward`` is pure and ``backward`` only strips. Switching
+    to eval mode drops the cache, so a later train-mode ``backward`` needs a
+    new train-mode ``forward`` first.
 
     A frozen module keeps padding but stops collecting supervision and
     updating its filters.
@@ -385,6 +387,7 @@ class PaddingModule:
 
     def eval(self):
         self.mode = "eval"
+        self.cache = None
         return self
 
     def freeze(self):
@@ -392,10 +395,6 @@ class PaddingModule:
         self.frozen = True
         self.mode = "eval"
         self.cache = None
-        return self
-
-    def unfreeze(self):
-        self.frozen = False
         return self
 
     # -- shape plumbing -------------------------------------------------------
@@ -494,17 +493,23 @@ class PaddingModule:
         """Strip padded-ring gradients; update filters first in train mode.
 
         Returns the interior of ``g``, bit-exact: gradients for the rings
-        this layer fabricated are discarded, not propagated.
+        this layer fabricated are discarded, not propagated. ``g=None``
+        means no gradient is wanted: the train-mode update still runs and
+        None is returned.
         """
-        g4, ndim = self._as_batch(g, "backward")
+        if g is not None:
+            g4, ndim = self._as_batch(g, "backward")
         if self.mode == "train" and not self.frozen:
             if self.cache is None:
                 raise RuntimeError("backward without a train-mode forward")
-            if self._last_output_shape is not None and g4.shape != self._last_output_shape:
+            if (g is not None and self._last_output_shape is not None
+                    and g4.shape != self._last_output_shape):
                 raise ValueError(
                     f"gradient shape {g4.shape} != padded output shape {self._last_output_shape}"
                 )
             self.local_update()
+        if g is None:
+            return None
         s = self.pad_size
         n, h, w, _ = g4.shape
         if h <= 2 * s or w <= 2 * s:
@@ -556,4 +561,7 @@ def load_weights(path):
         raise ValueError(
             f"{path}: expected {channels * 12} payload bytes, found {len(body)}"
         )
-    return np.frombuffer(body, dtype="<f4").reshape(channels, 3).copy()
+    weights = np.frombuffer(body, dtype="<f4").reshape(channels, 3).copy()
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"{path}: weights file holds non-finite values")
+    return weights

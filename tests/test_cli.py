@@ -72,6 +72,16 @@ class TestPadCommand:
                      "--size", "1", "--output", str(tmp_path / "o.ppm")])
         assert code == 1
 
+    def test_non_finite_weights_are_contract_error(self, image_ppm, tmp_path, capsys):
+        bank = tmp_path / "nan.padmod"
+        save_weights(bank, np.full((3, 3), np.nan, dtype=np.float32))
+        out = tmp_path / "o.ppm"
+        code = main(["pad", "--input", str(image_ppm), "--method", "module",
+                     "--size", "1", "--weights", str(bank), "--output", str(out)])
+        assert code == 1
+        assert f"{bank}: weights file holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_contract_error(self, tmp_path):
         code = main(["pad", "--input", str(tmp_path / "nope.ppm"),
                      "--method", "zero", "--size", "1",

@@ -84,6 +84,19 @@ class TestPpm:
         with pytest.raises(ValueError):
             write_ppm(np.full((1, 1, 3), -0.1), tmp_path / "x.ppm")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, tmp_path, value):
+        path = tmp_path / "x.ppm"
+        with pytest.raises(ValueError, match="finite"):
+            write_ppm(np.full((2, 2, 3), value), path)
+        assert not path.exists()
+
+    def test_one_nan_among_valid_values(self, tmp_path):
+        img = np.full((2, 2, 3), 0.5)
+        img[1, 0, 2] = np.nan
+        with pytest.raises(ValueError):
+            write_ppm(img, tmp_path / "x.ppm")
+
     def test_wrong_channels(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(np.ones((2, 2, 4)), tmp_path / "x.ppm")
@@ -94,6 +107,13 @@ class TestPpm:
         path = tmp_path / "rt.ppm"
         write_ppm(img, path)
         assert np.array_equal(read_ppm(path), img)
+
+    @pytest.mark.parametrize("dims", [b"0 2", b"2 0", b"-1 2", b"2 -3"])
+    def test_read_rejects_non_positive_dims(self, tmp_path, dims):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(b"P6\n" + dims + b"\n255\n" + b"\x00" * 12)
+        with pytest.raises(ValueError, match="must be positive"):
+            read_ppm(path)
 
     def test_read_rejects_other_formats(self, tmp_path):
         path = tmp_path / "p3.ppm"

@@ -63,6 +63,39 @@ class TestSimpleLayers:
         expected[0, 3, 3, 0] = 4.0
         assert np.array_equal(g, expected)
 
+    def test_maxpool_ties_route_to_first_maximum(self):
+        # one 2x2 block per set of tied block positions (row-major 0..3)
+        ties = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1, 2, 3)]
+        x = np.zeros((1, 2, 2 * len(ties), 1))
+        for b, tied in enumerate(ties):
+            for k in tied:
+                x[0, k // 2, 2 * b + k % 2, 0] = 5.0
+        pool = MaxPool2x2()
+        assert np.all(pool.forward(x) == 5.0)
+        g = pool.backward(np.arange(1.0, len(ties) + 1).reshape(1, 1, -1, 1))
+        expected = np.zeros_like(x)
+        for b, tied in enumerate(ties):
+            expected[0, tied[0] // 2, 2 * b + tied[0] % 2, 0] = b + 1
+        assert np.array_equal(g, expected)
+
+    def test_maxpool_matches_blockwise_argmax_loop(self):
+        # few distinct values, so most blocks hold ties
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 3, size=(2, 6, 8, 3)).astype(np.float32)
+        dy = rng.uniform(size=(2, 3, 4, 3)).astype(np.float32)
+        pool = MaxPool2x2()
+        y = pool.forward(x)
+        g = pool.backward(dy)
+        want_y = np.zeros_like(dy)
+        want_g = np.zeros_like(x)
+        for n, i, j, c in np.ndindex(*dy.shape):
+            block = x[n, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, c]
+            k = int(np.argmax(block))
+            want_y[n, i, j, c] = block.flat[k]
+            want_g[n, 2 * i + k // 2, 2 * j + k % 2, c] = dy[n, i, j, c]
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(g, want_g)
+
     def test_maxpool_odd_dims(self):
         with pytest.raises(ValueError):
             MaxPool2x2().forward(np.zeros((1, 3, 4, 1)))
@@ -77,6 +110,58 @@ class TestSimpleLayers:
         logits[0, 7] = 50.0
         loss, _ = softmax_xent(logits, np.array([7]))
         assert loss < 1e-6
+
+
+class TestNoInputGradient:
+    """The network's first conv skips its input gradient but not its
+    parameter gradients or its padding's local update."""
+
+    def _batch(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(4, 32, 32, 3)).astype(np.float32)
+        return x, rng.integers(0, 10, size=4)
+
+    def test_backward_none_returns_none(self):
+        x, _ = self._batch(0)
+        assert ZeroPad(1).backward(None) is None
+        mod = PaddingModule(3)
+        mod.forward(x)
+        assert mod.backward(None) is None
+
+    def test_eval_mode_backward_none_leaves_filters(self):
+        x, _ = self._batch(1)
+        mod = PaddingModule(3, init="uniform", seed=1).eval()
+        mod.forward(x)
+        before = mod.filters.weights.copy()
+        assert mod.backward(None) is None
+        assert np.array_equal(mod.filters.weights, before)
+
+    def test_first_module_takes_its_local_update(self):
+        x, y = self._batch(2)
+        net = build_tiny4(NetworkSpec(padding="module", positions="first"), seed=0)
+        twin = PaddingModule(3, pad_size=1)
+        before = twin.filters.weights.copy()
+        twin.forward(x)
+        twin.backward(np.zeros((4, 34, 34, 3), dtype=np.float32))
+        net.train()
+        _, dlogits = softmax_xent(net.forward(x), y)
+        assert net.backward(dlogits) is None
+        assert not np.array_equal(twin.filters.weights, before)
+        assert np.array_equal(net.modules[0].filters.weights, twin.filters.weights)
+
+    def test_parameter_gradients_match_the_full_backward(self):
+        x, y = self._batch(3)
+        net = build_tiny4(NetworkSpec(padding="zero"), seed=0)
+        _, dlogits = softmax_xent(net.forward(x), y)
+        net.backward(dlogits)
+        skipped = [g.copy() for g in net.grads()]
+        _, dlogits = softmax_xent(net.forward(x), y)
+        dy = dlogits
+        for layer in reversed(net.layers):
+            dy = layer.backward(dy)
+        assert dy.shape == x.shape
+        for got, want in zip(skipped, net.grads()):
+            assert np.array_equal(got, want)
 
 
 class TestAdam:

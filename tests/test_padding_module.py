@@ -370,6 +370,17 @@ class TestBackward:
         with pytest.raises(ValueError):
             mod.backward(np.ones((9, 9)))
 
+    def test_eval_drops_the_supervision_cache(self):
+        rng = np.random.default_rng(3)
+        mod = module_with((0.9, -0.2, 0.1))
+        out = mod.forward(rng.uniform(size=(6, 6)))
+        mod.eval()
+        mod.train()
+        before = mod.filters.weights.copy()
+        with pytest.raises(RuntimeError, match="backward without a train-mode forward"):
+            mod.backward(rng.uniform(size=out.shape))
+        assert np.array_equal(mod.filters.weights, before)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("size", [1, 2, 3])
@@ -453,6 +464,15 @@ class TestWeightsFile:
         save_weights(path, np.ones((2, 3), dtype=np.float32))
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weights(self, tmp_path, value):
+        path = tmp_path / "bank.padmod"
+        weights = np.ones((2, 3), dtype=np.float32)
+        weights[1, 2] = value
+        save_weights(path, weights)
+        with pytest.raises(ValueError, match="non-finite"):
             load_weights(path)
 
     def test_module_channel_mismatch(self, tmp_path):
