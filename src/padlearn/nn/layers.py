@@ -1,6 +1,9 @@
 """Minimal CNN layers over (N, H, W, C) arrays, with exact analytic backward.
 
-Every layer caches what its backward pass needs during forward. Convolution
+A layer caches what its backward pass needs during forward in train mode
+only. In eval mode forward computes the output and keeps nothing, and
+switching to eval mode drops any cache a train-mode forward left; a
+backward then raises until the next train-mode forward. Convolution
 is valid cross-correlation after the attached padding strategy has run; its
 input gradient flows back through the same strategy, which for all supported
 paddings passes only the interior gradient upstream.
@@ -38,6 +41,39 @@ class ZeroPad:
         return g[:, s:-s, s:-s, :]
 
 
+class Layer:
+    """Mode switch and parameter surface shared by the layers below.
+
+    ``_cache`` holds what backward needs from the latest train-mode forward,
+    or None.
+    """
+
+    training = True
+    _cache = None
+
+    def train(self):
+        self.training = True
+        return self
+
+    def eval(self):
+        self.training = False
+        self._cache = None
+        return self
+
+    def _cached(self):
+        if self._cache is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward without a train-mode forward"
+            )
+        return self._cache
+
+    def params(self):
+        return []
+
+    def grads(self):
+        return []
+
+
 def _im2col(xp, k):
     # (N, Hp, Wp, C) -> (N*Ho*Wo, k*k*C), window-major rows; the reshape of
     # the transposed window view is the only copy
@@ -58,7 +94,7 @@ def _col2im(dcols, shape, k, ho, wo):
     return dxp
 
 
-class Conv2D:
+class Conv2D(Layer):
     """k x k convolution, stride 1, with an attached padding strategy.
 
     `padding` is any object with forward/backward (ZeroPad or a
@@ -82,9 +118,6 @@ class Conv2D:
         self.b = np.zeros(out_channels, dtype=dtype)
         self.dw = None
         self.db = None
-        self._cols = None
-        self._xp_shape = None
-        self._out_hw = None
 
     def forward(self, x):
         if x.shape[3] != self.in_channels:
@@ -95,9 +128,8 @@ class Conv2D:
         cols, ho, wo = _im2col(xp, self.k)
         y = cols @ self.w.reshape(-1, self.out_channels)
         y += self.b  # in place: one output-sized array fewer at peak
-        self._cols = cols
-        self._xp_shape = xp.shape
-        self._out_hw = (ho, wo)
+        if self.training:
+            self._cache = cols
         return y.reshape(x.shape[0], ho, wo, self.out_channels)
 
     def backward(self, dy, need_dx=True):
@@ -107,16 +139,16 @@ class Conv2D:
         still gets its ``backward(None)`` call, so a learnable padding takes
         its local update, and None is returned.
         """
-        if self._cols is None:
-            raise RuntimeError("backward before forward")
-        ho, wo = self._out_hw
+        cols = self._cached()
+        n, ho, wo, _ = dy.shape
         dy_flat = dy.reshape(-1, self.out_channels)
-        self.dw = (self._cols.T @ dy_flat).reshape(self.w.shape)
+        self.dw = (cols.T @ dy_flat).reshape(self.w.shape)
         self.db = dy_flat.sum(axis=0)
         if not need_dx:
             return self.padding.backward(None)
         dcols = dy_flat @ self.w.reshape(-1, self.out_channels).T
-        dxp = _col2im(dcols, self._xp_shape, self.k, ho, wo)
+        xp_shape = (n, ho + self.k - 1, wo + self.k - 1, self.in_channels)
+        dxp = _col2im(dcols, xp_shape, self.k, ho, wo)
         return self.padding.backward(dxp)
 
     def params(self):
@@ -129,19 +161,14 @@ class Conv2D:
         self.w, self.b = values
 
 
-class ReLU:
+class ReLU(Layer):
     def forward(self, x):
-        self._mask = x > 0
+        if self.training:
+            self._cache = x > 0
         return np.maximum(x, 0)
 
     def backward(self, dy):
-        return dy * self._mask
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
+        return dy * self._cached()
 
 
 def _quarter(a, k):
@@ -149,7 +176,7 @@ def _quarter(a, k):
     return a[:, k // 2 :: 2, k % 2 :: 2]
 
 
-class MaxPool2x2:
+class MaxPool2x2(Layer):
     """2x2 max pooling, stride 2; backward routes to the first maximum of
     each block, in row-major block order, as ``argmax`` would."""
 
@@ -160,43 +187,34 @@ class MaxPool2x2:
         q0, q1, q2, q3 = (_quarter(x, k) for k in range(4))
         top = np.maximum(q0, q1)
         bottom = np.maximum(q2, q3)
-        # strict comparisons keep the first of equal maxima, in each pair
-        # and between the pairs
-        self._index = np.where(bottom > top,
-                               (q3 > q2).view(np.uint8) + np.uint8(2),
-                               (q1 > q0).view(np.uint8))
-        self._in_shape = x.shape
+        if self.training:
+            # strict comparisons keep the first of equal maxima, in each
+            # pair and between the pairs
+            self._cache = np.where(bottom > top,
+                                   (q3 > q2).view(np.uint8) + np.uint8(2),
+                                   (q1 > q0).view(np.uint8))
         return np.maximum(top, bottom, out=top)
 
     def backward(self, dy):
-        dx = np.empty(self._in_shape, dtype=dy.dtype)
+        index = self._cached()
+        n, h, w, c = dy.shape
+        dx = np.empty((n, 2 * h, 2 * w, c), dtype=dy.dtype)
         for k in range(4):
-            np.multiply(dy, self._index == k, out=_quarter(dx, k))
+            np.multiply(dy, index == k, out=_quarter(dx, k))
         return dx
 
-    def params(self):
-        return []
 
-    def grads(self):
-        return []
-
-
-class Flatten:
+class Flatten(Layer):
     def forward(self, x):
-        self._shape = x.shape
+        if self.training:
+            self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy):
-        return dy.reshape(self._shape)
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
+        return dy.reshape(self._cached())
 
 
-class Dense:
+class Dense(Layer):
     def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng()
         self.w = (rng.normal(0.0, 1.0, size=(in_features, out_features))
@@ -206,11 +224,12 @@ class Dense:
         self.db = None
 
     def forward(self, x):
-        self._x = x
+        if self.training:
+            self._cache = x
         return x @ self.w + self.b
 
     def backward(self, dy):
-        self.dw = self._x.T @ dy
+        self.dw = self._cached().T @ dy
         self.db = dy.sum(axis=0)
         return dy @ self.w.T
 
@@ -228,10 +247,12 @@ def softmax_xent(logits, labels):
     """Mean cross-entropy over the batch and its gradient w.r.t. logits."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    total = exp.sum(axis=1, keepdims=True)
+    probs = exp / total
     n = logits.shape[0]
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+    # log-sum-exp form: a log of the picked probability underflows to
+    # log(0) = -inf in float32 once a logit gap passes about 104
+    loss = float((np.log(total[:, 0]) - shifted[np.arange(n), labels]).mean())
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n

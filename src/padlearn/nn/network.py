@@ -77,13 +77,15 @@ class Network:
         return [g for layer in self.layers for g in layer.grads()]
 
     def train(self):
-        for m in self.modules:
-            m.train()
+        for part in self.layers + self.modules:
+            part.train()
         return self
 
     def eval(self):
-        for m in self.modules:
-            m.eval()
+        """Switch every layer and module to eval mode, dropping the caches
+        backward would read: an eval forward then keeps nothing."""
+        for part in self.layers + self.modules:
+            part.eval()
         return self
 
 

@@ -1,4 +1,4 @@
-"""Dense-array primitives used by the padding layers and the CNN stack.
+"""Dense-array primitives: 1-D reflect and zero padding, and the interior crop.
 
 Arrays are plain numpy ndarrays, row-major, channel-last: (H, W) or
 (H, W, C). Every function treats its inputs as immutable and returns a new
@@ -8,53 +8,6 @@ array; callers can share results across threads freely.
 from __future__ import annotations
 
 import numpy as np
-
-
-def new_filled(shape, value, dtype=np.float64):
-    """Allocate a tensor of `shape` with every element set to `value`.
-
-    `shape` must have 2 or 3 dimensions, all >= 1.
-    """
-    dims = tuple(int(d) for d in shape)
-    if len(dims) not in (2, 3):
-        raise ValueError(f"shape must have 2 or 3 dims, got {len(dims)}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"all dims must be >= 1, got {dims}")
-    return np.full(dims, value, dtype=dtype)
-
-
-def row(t, i):
-    """Row `i` of a 2-D tensor as a 1-D vector (copy)."""
-    t = np.asarray(t)
-    if t.ndim != 2:
-        raise ValueError(f"expected a 2-D tensor, got ndim={t.ndim}")
-    if not 0 <= i < t.shape[0]:
-        raise IndexError(f"row index {i} out of range for {t.shape[0]} rows")
-    return t[i, :].copy()
-
-
-def col_t(t, j):
-    """Column `j` of a 2-D tensor, transposed to a 1-D row vector (copy)."""
-    t = np.asarray(t)
-    if t.ndim != 2:
-        raise ValueError(f"expected a 2-D tensor, got ndim={t.ndim}")
-    if not 0 <= j < t.shape[1]:
-        raise IndexError(f"column index {j} out of range for {t.shape[1]} columns")
-    return t[:, j].copy()
-
-
-def vconcat(a, b):
-    """Stack `a` on top of `b`. 1-D inputs count as single rows.
-
-    Column counts must match.
-    """
-    a = np.atleast_2d(np.asarray(a))
-    b = np.atleast_2d(np.asarray(b))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"width mismatch: {a.shape[1]} vs {b.shape[1]} columns"
-        )
-    return np.concatenate([a, b], axis=0)
 
 
 def reflect_pad_1d(v):

@@ -3,8 +3,8 @@ import pytest
 
 from padlearn.nn.gradcheck import (layer_gradient_suite, module_gradient_suite,
                                    numeric_grad, rel_err)
-from padlearn.nn.layers import (Conv2D, MaxPool2x2, ReLU, ZeroPad,
-                                softmax_xent)
+from padlearn.nn.layers import (Conv2D, Dense, Flatten, MaxPool2x2, ReLU,
+                                ZeroPad, softmax_xent)
 from padlearn.nn.network import NetworkSpec, PLACEMENTS, build_tiny4
 from padlearn.nn.optim import Adam
 from padlearn.padding_module import PaddingModule
@@ -110,6 +110,80 @@ class TestSimpleLayers:
         logits[0, 7] = 50.0
         loss, _ = softmax_xent(logits, np.array([7]))
         assert loss < 1e-6
+
+
+    def test_softmax_xent_float32_large_gap_is_finite(self):
+        # the picked probability underflows to 0 in float32 at this gap
+        logits = np.zeros((2, 10))
+        logits[:, 0] = 200.0
+        labels = np.array([1, 0])
+        for dtype in (np.float32, np.float64):
+            loss, dlogits = softmax_xent(logits.astype(dtype), labels)
+            assert abs(loss - 100.0) < 1e-4
+            assert dlogits.dtype == dtype and np.all(np.isfinite(dlogits))
+
+
+# one small instance of every layer, with an input of its shape
+LAYERS = {
+    "conv": (lambda rng: Conv2D(3, 4, ZeroPad(1), rng=rng), (2, 6, 6, 3)),
+    "relu": (lambda rng: ReLU(), (2, 4, 4, 3)),
+    "pool": (lambda rng: MaxPool2x2(), (2, 4, 6, 3)),
+    "flatten": (lambda rng: Flatten(), (2, 4, 4, 3)),
+    "dense": (lambda rng: Dense(12, 5, rng=rng), (2, 12)),
+}
+
+
+class TestEvalMode:
+    """An eval-mode forward computes the train-mode output and keeps
+    nothing for backward."""
+
+    def _layer(self, name):
+        rng = np.random.default_rng(5)
+        make, shape = LAYERS[name]
+        x = rng.normal(size=shape).astype(np.float32)
+        return make(rng), x
+
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_eval_output_matches_train_output(self, name):
+        layer, x = self._layer(name)
+        y_train = layer.forward(x)
+        assert np.array_equal(layer.eval().forward(x), y_train)
+
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_backward_after_eval_forward_raises(self, name):
+        layer, x = self._layer(name)
+        y = layer.eval().forward(x)
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(y))
+
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_backward_without_forward_raises(self, name):
+        layer, x = self._layer(name)
+        dy = np.ones_like(self._layer(name)[0].forward(x))
+        with pytest.raises(RuntimeError):
+            layer.backward(dy)
+
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_eval_drops_the_train_cache(self, name):
+        layer, x = self._layer(name)
+        y = layer.forward(x)
+        layer.eval().train()
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(y))
+
+    @pytest.mark.parametrize("padding", ["zero", "module"])
+    def test_tiny4_eval_logits_match_train_logits(self, padding):
+        x = np.random.default_rng(6).uniform(size=(4, 32, 32, 3)).astype(np.float32)
+        net = build_tiny4(NetworkSpec(padding=padding), seed=0)
+        logits = net.train().forward(x)
+        assert np.array_equal(net.eval().forward(x), logits)
+
+    def test_network_backward_after_eval_forward_raises(self):
+        x = np.random.default_rng(7).uniform(size=(4, 32, 32, 3)).astype(np.float32)
+        net = build_tiny4(NetworkSpec(padding="zero"), seed=0)
+        _, dlogits = softmax_xent(net.eval().forward(x), np.zeros(4, dtype=int))
+        with pytest.raises(RuntimeError):
+            net.backward(dlogits)
 
 
 class TestNoInputGradient:

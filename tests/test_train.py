@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from padlearn.data_io import images_to_arrays, load_cifar10_dir
+from padlearn.nn.layers import softmax_xent
 from padlearn.nn.network import NetworkSpec, build_tiny4
+from padlearn.nn.optim import Adam
 from padlearn.nn.train import evaluate, train
 
 
@@ -119,10 +121,79 @@ class TestDifferentialAnchor:
             assert np.array_equal(pm, pi)
 
 
-def test_evaluate_matches_manual(small_dataset):
-    x, y, xt, yt = small_dataset
+def test_evaluate_matches_manual(cifar_dir):
+    # 300 images: whole and partial chunks at each chunk size
+    _, test_imgs = load_cifar10_dir(cifar_dir, train_limit=1, test_limit=300)
+    xt, yt = images_to_arrays(test_imgs)
     net = build_tiny4(NetworkSpec(padding="zero"), seed=0)
-    loss, acc = evaluate(net, xt, yt, batch_size=32)
+    by_chunk = {b: evaluate(net, xt, yt, batch_size=b) for b in (32, 64, 256)}
+    assert evaluate(net, xt, yt) == by_chunk[64]
     logits = net.forward(xt)
-    assert acc == float((logits.argmax(axis=1) == yt).mean())
-    assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
+    want_acc = float((logits.argmax(axis=1) == yt).mean())
+    want_loss, _ = softmax_xent(logits, yt)
+    for loss, acc in by_chunk.values():
+        assert acc == want_acc
+        assert abs(loss - want_loss) < 1e-6
+
+
+def _held_bytes(value, keep):
+    if isinstance(value, np.ndarray):
+        return 0 if any(value is k for k in keep) else value.nbytes
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_held_bytes(v, keep) for v in value)
+    return 0
+
+
+def backward_state_bytes(net):
+    """Bytes of every array the layers and their paddings hold besides
+    their parameters and gradients."""
+    total = 0
+    for layer in net.layers:
+        keep = layer.params() + layer.grads()
+        total += _held_bytes(list(vars(layer).values()), keep)
+        padding = getattr(layer, "padding", None)
+        if padding is not None:
+            total += _held_bytes(list(vars(padding).values()), keep)
+    return total
+
+
+def _batch(seed, n):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, 32, 32, 3)).astype(np.float32)
+    return x, rng.integers(0, 10, size=n)
+
+
+def _step(net, optimizer, x, y):
+    net.train()
+    _, dlogits = softmax_xent(net.forward(x), y)
+    net.backward(dlogits)
+    optimizer.step(net.params(), net.grads())
+
+
+class TestEvalPass:
+    @pytest.mark.parametrize("padding", ["zero", "module"])
+    def test_evaluate_keeps_no_backward_state(self, padding):
+        net = build_tiny4(NetworkSpec(padding=padding), seed=0)
+        _step(net, Adam(1e-3), *_batch(0, 16))
+        assert backward_state_bytes(net) > 0
+        evaluate(net, *_batch(1, 80))
+        assert backward_state_bytes(net) == 0
+
+    @pytest.mark.parametrize("padding", ["zero", "module"])
+    def test_step_after_evaluate_is_unchanged(self, padding):
+        spec = NetworkSpec(padding=padding)
+        nets = [build_tiny4(spec, seed=0) for _ in range(2)]
+        optimizers = [Adam(1e-3), Adam(1e-3)]
+        for net, optimizer in zip(nets, optimizers):
+            _step(net, optimizer, *_batch(2, 16))
+        evaluate(nets[0], *_batch(3, 80))
+        for net, optimizer in zip(nets, optimizers):
+            _step(net, optimizer, *_batch(4, 16))
+        evaluated, plain = nets
+        for a, b in zip(evaluated.params() + evaluated.grads(),
+                        plain.params() + plain.grads()):
+            assert np.array_equal(a, b)
+        for a, b in zip(evaluated.modules, plain.modules):
+            assert np.array_equal(a.filters.weights, b.filters.weights)
