@@ -1,4 +1,5 @@
-"""Dense-array primitives: 1-D reflect and zero padding, and the interior crop.
+"""Dense-array primitives: row and column copies, row concatenation, 1-D
+reflect and zero padding, and the interior crop.
 
 Arrays are plain numpy ndarrays, row-major, channel-last: (H, W) or
 (H, W, C). Every function treats its inputs as immutable and returns a new
@@ -8,6 +9,40 @@ array; callers can share results across threads freely.
 from __future__ import annotations
 
 import numpy as np
+
+
+def row(t, i):
+    """Row `i` of a 2-D tensor as a 1-D vector (copy)."""
+    t = np.asarray(t)
+    if t.ndim != 2:
+        raise ValueError(f"expected a 2-D tensor, got ndim={t.ndim}")
+    if not 0 <= i < t.shape[0]:
+        raise IndexError(f"row index {i} out of range for {t.shape[0]} rows")
+    return t[i, :].copy()
+
+
+def col_t(t, j):
+    """Column `j` of a 2-D tensor, transposed to a 1-D row vector (copy)."""
+    t = np.asarray(t)
+    if t.ndim != 2:
+        raise ValueError(f"expected a 2-D tensor, got ndim={t.ndim}")
+    if not 0 <= j < t.shape[1]:
+        raise IndexError(f"column index {j} out of range for {t.shape[1]} columns")
+    return t[:, j].copy()
+
+
+def vconcat(a, b):
+    """Stack `a` on top of `b`. 1-D inputs count as single rows.
+
+    Column counts must match.
+    """
+    a = np.atleast_2d(np.asarray(a))
+    b = np.atleast_2d(np.asarray(b))
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"width mismatch: {a.shape[1]} vs {b.shape[1]} columns"
+        )
+    return np.concatenate([a, b], axis=0)
 
 
 def reflect_pad_1d(v):

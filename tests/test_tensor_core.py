@@ -2,7 +2,52 @@ import numpy as np
 import pytest
 
 from padlearn.baselines import pad_reflect, pad_replicate, pad_zero
-from padlearn.tensor_core import interior, reflect_pad_1d, zero_pad_1d
+from padlearn.tensor_core import (col_t, interior, reflect_pad_1d, row,
+                                  vconcat, zero_pad_1d)
+
+
+class TestRowCol:
+    def test_row(self, m4):
+        assert list(row(m4, 0)) == [1, 2, 3, 4]
+        assert list(row(m4, 3)) == [13, 14, 15, 16]
+
+    def test_col_t(self, m4):
+        assert list(col_t(m4, 0)) == [1, 5, 9, 13]
+        assert list(col_t(m4, 3)) == [4, 8, 12, 16]
+
+    def test_out_of_range(self, m4):
+        with pytest.raises(IndexError):
+            row(m4, 4)
+        with pytest.raises(IndexError):
+            col_t(m4, -1)
+
+    def test_returns_copy(self, m4):
+        r = row(m4, 0)
+        r[0] = 99
+        assert m4[0, 0] == 1
+
+
+class TestVconcat:
+    def test_row_counts_add(self):
+        out = vconcat(np.ones((1, 4)), np.zeros((2, 4)))
+        assert out.shape == (3, 4)
+
+    def test_builds_square(self):
+        edge = np.full(5, 5.0)
+        out = vconcat(vconcat(edge, np.zeros((3, 5))), edge)
+        assert out.shape == (5, 5)
+
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError):
+            vconcat(np.ones((1, 4)), np.ones((1, 5)))
+
+    def test_shape_associative(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            rows = [rng.uniform(size=(int(rng.integers(1, 4)), 6)) for _ in range(3)]
+            left = vconcat(vconcat(rows[0], rows[1]), rows[2])
+            right = vconcat(rows[0], vconcat(rows[1], rows[2]))
+            assert np.array_equal(left, right)
 
 
 class TestReflectPad:
