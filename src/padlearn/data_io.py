@@ -49,7 +49,8 @@ def load_cifar10_batch(path):
             f"{path}: record {bad} has label byte {labels[bad]} (must be 0..9)"
         )
     planes = raw[:, 1:].reshape(-1, 3, 32, 32)
-    pixels = planes.transpose(0, 2, 3, 1).astype(np.float32) / 255.0
+    pixels = planes.transpose(0, 2, 3, 1).astype(np.float32)
+    pixels /= 255.0  # in place, so no second float32 copy of the batch is made
     return [LabeledImage(pixels[i], int(labels[i])) for i in range(raw.shape[0])]
 
 
@@ -80,7 +81,7 @@ def load_cifar10_dir(data_dir, train_limit=None, test_limit=None):
 
 def images_to_arrays(images):
     """Stack labeled images into (x, y) arrays: (N,32,32,3) f32 and (N,) i64."""
-    x = np.stack([im.pixels for im in images]).astype(np.float32)
+    x = np.stack([im.pixels for im in images]).astype(np.float32, copy=False)
     y = np.array([im.label for im in images], dtype=np.int64)
     return x, y
 

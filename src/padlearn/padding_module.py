@@ -276,88 +276,115 @@ class FilterBank:
             raise FloatingPointError("filter weights diverged to non-finite values")
 
 
-# --- batched internals -------------------------------------------------------
+# --- batched kernel ----------------------------------------------------------
 #
-# Border rows are carried as arrays of shape (N, L, C): axis 1 runs along the
-# border. This keeps every step a single vectorized numpy op across the batch
-# and all channels; the per-channel filters enter through broadcasting.
+# Border rows travel in pairs, top+bottom and left+right, stacked on axis 1
+# as (N, 2, L, C) arrays whose axis 2 runs along the border. Each filter tap
+# is tiled along the border length before it multiplies, so numpy's inner
+# loop runs over a whole row of L*C values rather than C at a time.
 
 
-def _rows_target(x):
-    return x[:, 0, :, :], x[:, -1, :, :], x[:, :, 0, :], x[:, :, -1, :]
+def _taps(weights, dtype, length):
+    """(3, length, C): tap k of every channel's filter, repeated `length` times."""
+    w = weights.T.astype(dtype)
+    return np.broadcast_to(w[:, None, :], (3, length, w.shape[1])).copy()
 
 
-def _rows_neighbors(x):
-    return (
-        x[:, 1, 1:-1, :],
-        x[:, -2, 1:-1, :],
-        x[:, 1:-1, 1, :],
-        x[:, 1:-1, -2, :],
-    )
-
-
-def _reflect_zero(rows):
-    # (N, L, C) -> (N, L+4, C): mirror one element (excluding the edge), then
-    # one zero on each side
-    n, length, c = rows.shape
-    out = np.zeros((n, length + 4, c), dtype=rows.dtype)
-    out[:, 2:-2, :] = rows
-    out[:, 1, :] = rows[:, 1, :]
-    out[:, -2, :] = rows[:, -2, :]
+def _reflected(rows):
+    """(N, 2, L, C) -> (N, 2, L+4, C): each row as [0, r1, r0..r_{L-1}, r_{L-2}, 0]."""
+    n, k, length, c = rows.shape
+    out = np.empty((n, k, length + 4, c), dtype=rows.dtype)
+    out[:, :, 2:-2] = rows
+    out[:, :, 1] = rows[:, :, 1]
+    out[:, :, -2] = rows[:, :, -2]
+    out[:, :, 0] = 0
+    out[:, :, -1] = 0
     return out
 
 
-def _slide_filter(weights, rows):
-    # rows (N, L, C), weights (C, 3) -> (N, L-2, C)
-    return (
-        weights[:, 0] * rows[:, :-2, :]
-        + weights[:, 1] * rows[:, 1:-1, :]
-        + weights[:, 2] * rows[:, 2:, :]
-    )
+def _slide(taps, rows, out):
+    """Valid 1x3 correlation along axis 2, written into ``out``.
+
+    rows (N, 2, L, C) -> out (N, 2, L-2, C) with the arithmetic order of
+    :func:`_slide_filter_1d`, so results match it bit for bit.
+    """
+    n = out.shape[2]
+    np.multiply(taps[0, :n], rows[:, :, :-2], out=out)
+    term = taps[1, :n] * rows[:, :, 1:-1]
+    out += term
+    np.multiply(taps[2, :n], rows[:, :, 2:], out=term)
+    out += term
+    return out
 
 
-def _pair_stats(weights, predictor_rows, target_rows):
-    """Per-channel mean MSE and filter gradient over batched row bundles."""
-    n = predictor_rows[0].shape[0]
-    n_terms = sum(t.shape[1] for t in target_rows)
-    channels = weights.shape[0]
-    mse = np.zeros(channels, dtype=np.float64)
-    grad = np.zeros((channels, 3), dtype=np.float64)
-    for p_rows, t_rows in zip(predictor_rows, target_rows):
-        res = _slide_filter(weights, p_rows) - t_rows  # (N, L, C)
-        mse += np.einsum("nlc,nlc->c", res, res, dtype=np.float64)
-        length = t_rows.shape[1]
-        for m in range(3):
-            grad[:, m] += 2.0 * np.einsum(
-                "nlc,nlc->c", res, p_rows[:, m : m + length, :], dtype=np.float64
-            )
-    return mse / (n_terms * n), grad / (n_terms * n)
+def _predict(taps, rows):
+    """Predictions from stacked border rows (N, 2, L, C) -> (N, 2, L+2, C)."""
+    padded = _reflected(rows)
+    n, k, length, c = padded.shape
+    out = np.empty((n, k, length - 2, c), dtype=np.result_type(taps, padded))
+    return _slide(taps, padded, out), padded
 
 
-def _assemble(x, top, bottom, left, right):
+def _pad_ring(out, o, h, w, taps):
+    """Fill the ring around the h x w block at offset ``o`` of ``out``.
+
+    The block's borders are read from views of ``out`` and the predictions
+    are written straight into the ring: the full top and bottom rows first,
+    then the left and right columns between them, and the corners become
+    the mean of the horizontal and vertical predictions that meet there.
+    """
+    _slide(taps, _reflected(out[:, o : o + h : h - 1, o : o + w]),
+           out[:, o - 1 : o + h + 1 : h + 1, o - 1 : o + w + 1])
+    sides, _ = _predict(taps, out[:, o : o + h, o : o + w : w - 1].transpose(0, 2, 1, 3))
+    out[:, o : o + h, o - 1 : o + w + 1 : w + 1] = sides[:, :, 1:-1].transpose(0, 2, 1, 3)
+    corners = out[:, o - 1 : o + h + 1 : h + 1, o - 1 : o + w + 1 : w + 1]
+    corners += sides[:, :, :: h + 1].transpose(0, 2, 1, 3)
+    corners /= 2
+
+
+def _pair_stats(weights, x):
+    """Per-channel mean MSE and filter gradient of the supervision pairs of x.
+
+    The targets are the outermost rows and columns of x (N, H, W, C); the
+    predictor rows are the ones just inside them, with their ends dropped.
+    Residuals are taken in the filters' arithmetic, as in
+    :func:`local_mse`, then summed in float64.
+    """
     n, h, w, c = x.shape
-    out = np.zeros((n, h + 2, w + 2, c), dtype=np.result_type(x, top))
-    out[:, 1:-1, 1:-1, :] = x
-    out[:, 0, :, :] = top
-    out[:, -1, :, :] = bottom
-    out[:, 1:-1, 0, :] = left[:, 1:-1, :]
-    out[:, 1:-1, -1, :] = right[:, 1:-1, :]
-    out[:, 0, 0, :] = (top[:, 0, :] + left[:, 0, :]) / 2
-    out[:, 0, -1, :] = (top[:, -1, :] + right[:, 0, :]) / 2
-    out[:, -1, 0, :] = (bottom[:, 0, :] + left[:, -1, :]) / 2
-    out[:, -1, -1, :] = (bottom[:, -1, :] + right[:, -1, :]) / 2
-    return out
+    taps = _taps(weights, np.result_type(weights, x), max(h, w))
+    mse = np.zeros(c)
+    grad = np.zeros((c, 3))
+    pairs = (
+        (x[:, 0:h:h - 1], x[:, 1 : h - 1 : h - 3, 1 : w - 1]),
+        (x[:, :, 0:w:w - 1].transpose(0, 2, 1, 3),
+         x[:, 1 : h - 1, 1 : w - 1 : w - 3].transpose(0, 2, 1, 3)),
+    )
+    for target, rows in pairs:
+        res, padded = _predict(taps, rows)
+        res -= target
+        res = res.astype(np.float64)
+        windows = padded.astype(np.float64)
+        length = res.shape[2]
+        mse += np.einsum("nklc,nklc->c", res, res)
+        for m in range(3):
+            grad[:, m] += np.einsum("nklc,nklc->c", res, windows[:, :, m : m + length])
+    count = n * 2 * (h + w)
+    return mse / count, 2.0 * grad / count
 
 
 class PaddingModule:
     """Learnable padding layer for (H,W), (H,W,C) or (N,H,W,C) inputs.
 
-    In train mode, ``forward`` caches the supervision pair built from the
-    original input; ``backward`` then updates the filters from that cache
-    and strips the padded-ring gradients, returning only the interior. In
-    eval mode ``forward`` is pure and ``backward`` only strips. Switching
-    to eval mode drops the cache, so a later train-mode ``backward`` needs a
-    new train-mode ``forward`` first.
+    In train mode, ``forward`` caches a reference to the original input, not
+    a copy; ``backward`` then updates the filters from the supervision pair
+    it reads out of that input, and strips the padded-ring gradients,
+    returning only the interior. An input changed in place between the two
+    calls changes the update. In eval mode ``forward`` is pure and
+    ``backward`` only strips. Switching to eval mode drops the cache, so a
+    later train-mode ``backward`` needs a new train-mode ``forward`` first.
+
+    ``forward`` allocates the padded output once, copies the input into its
+    interior and writes each ring's predictions straight into it.
 
     A frozen module keeps padding but stops collecting supervision and
     updating its filters.
@@ -426,23 +453,22 @@ class PaddingModule:
             raise ValueError(
                 f"{self.mode}-mode forward needs H,W >= {min_side}, got {h}x{w}"
             )
+        s = self.pad_size
         if self.mode == "train":
             # supervision comes from the original input only, never from
-            # already-padded rings
-            tgt = _rows_target(x4)
-            prd = tuple(_reflect_zero(r) for r in _rows_neighbors(x4))
-            self.cache = {"predictor": prd, "target": tgt}
+            # already-padded rings; the update reads it as views of x
+            self.cache = x4
         else:
             self.cache = None  # cache tracks the most recent forward only
-        out = x4
+        dtype = np.result_type(x4, self.filters.weights)
+        out = np.empty((n, h + 2 * s, w + 2 * s, x4.shape[3]), dtype=dtype)
+        out[:, s : s + h, s : s + w] = x4
+        taps = _taps(self.filters.weights, dtype, max(h, w) + 2 * s)
         # divergence is detected by the finiteness check below, so let any
         # intermediate overflow pass through silently as inf
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(self.pad_size):
-                borders = _rows_target(out)
-                padded = tuple(_reflect_zero(r) for r in borders)
-                preds = tuple(_slide_filter(self.filters.weights, r) for r in padded)
-                out = _assemble(out, *preds)
+            for k in range(s):
+                _pad_ring(out, s - k, h + 2 * k, w + 2 * k, taps)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError(
                 "padding produced non-finite values (divergent local filters?)"
@@ -468,22 +494,19 @@ class PaddingModule:
             raise ValueError(
                 f"supervision needs H,W >= 4, got {x4.shape[1]}x{x4.shape[2]}"
             )
-        tgt = _rows_target(x4)
-        prd = tuple(_reflect_zero(r) for r in _rows_neighbors(x4))
-        mse, _ = _pair_stats(self.filters.weights, prd, tgt)
+        mse, _ = _pair_stats(self.filters.weights, x4)
         return float(mse.mean())
 
     def local_update(self):
         """One optimizer step on the filters from the cached supervision.
 
-        The per-channel gradient is averaged over the batch the cache was
-        built from; the cache is consumed.
+        The per-channel gradient is averaged over the batch the cached
+        input holds; the cache is consumed.
         """
         if self.cache is None:
             raise RuntimeError("local_update without a train-mode forward")
         start = time.perf_counter()
-        mse, grad = _pair_stats(self.filters.weights, self.cache["predictor"],
-                                self.cache["target"])
+        mse, grad = _pair_stats(self.filters.weights, self.cache)
         self.last_local_mse = float(mse.mean())
         self.filters.step(grad.astype(self.filters.weights.dtype))
         self.cache = None

@@ -52,3 +52,15 @@ M4 = np.arange(1.0, 17.0).reshape(4, 4)
 def m4():
     """The 4x4 worked example: [[1..4],[5..8],[9..12],[13..16]]."""
     return M4.copy()
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # derandomized and without an example database: every run draws the
+    # same examples, so tier-1 stays reproducible; no deadline, since a
+    # loaded host can stall any example
+    settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+    settings.load_profile("tier1")

@@ -61,6 +61,31 @@ class TestCifarLoader:
             assert np.array_equal(a.pixels, b.pixels)
         assert [im.label for im in first] == [i % 10 for i in range(12)]
 
+    def _every_byte(self, tmp_path):
+        # 256 records, record i holding byte (i + k) % 256 at offset k, so
+        # every byte value appears in every plane
+        rows = [bytes([i % 10]) + bytes((i + k) % 256 for k in range(3072))
+                for i in range(256)]
+        path = tmp_path / "batch.bin"
+        path.write_bytes(b"".join(rows))
+        raw = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(256, 3073)
+        planes = raw[:, 1:].reshape(256, 3, 32, 32).transpose(0, 2, 3, 1)
+        return path, planes.astype(np.float32) / np.float32(255)
+
+    def test_pixels_are_float32_byte_over_255(self, tmp_path):
+        path, expected = self._every_byte(tmp_path)
+        images = load_cifar10_batch(path)
+        for image, want in zip(images, expected):
+            assert image.pixels.dtype == np.float32
+            assert image.pixels.tobytes() == want.tobytes()
+
+    def test_arrays_are_float32_byte_over_255(self, tmp_path):
+        path, expected = self._every_byte(tmp_path)
+        x, y = images_to_arrays(load_cifar10_batch(path))
+        assert x.dtype == np.float32 and y.dtype == np.int64
+        assert x.tobytes() == expected.tobytes()
+        assert list(y) == [i % 10 for i in range(256)]
+
 
 class TestPpm:
     def test_one_pixel_white(self, tmp_path):

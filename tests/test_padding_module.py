@@ -192,14 +192,25 @@ class TestForward:
         assert out.shape == (9, 9)
         assert np.all(out == 5.0)
 
-    def test_train_cache_shapes(self, m4):
-        mod = module_with(IDENTITY)
+    def test_train_forward_keeps_supervision(self, m4):
+        theta = (0.1, 0.7, 0.2)
+        mod = module_with(theta)
+        mod.eval()
+        mod.forward(m4)
+        assert mod.cache is None
+        mod.train()
         mod.forward(m4)
         assert mod.cache is not None
-        for r in mod.cache["predictor"]:
-            assert r.shape == (1, 6, 1)
-        for r in mod.cache["target"]:
-            assert r.shape == (1, 4, 1)
+        steps = []
+        mod.filters.step = steps.append
+        mod.local_update()
+        ref = local_mse_grad(bank(theta), build_predictor(extract_neighbors(m4)),
+                             extract_target(m4), 0)
+        np.testing.assert_allclose(steps[0][0], ref, rtol=1e-12)
+        assert mod.last_local_mse == pytest.approx(
+            local_mse(bank(theta), build_predictor(extract_neighbors(m4)),
+                      extract_target(m4), 0), rel=1e-12)
+        assert mod.cache is None
 
     def test_eval_mode_does_not_cache(self, m4):
         mod = module_with(IDENTITY).eval()
