@@ -1,21 +1,6 @@
 """Trainable border padding with a self-supervised local loss, plus the
 small CNN stack and CLI used to exercise it."""
 
-from .padding_module import (
-    BorderBundle,
-    FilterBank,
-    PaddingModule,
-    PredictorBundle,
-    assemble_padded,
-    build_predictor,
-    extract_borders,
-    extract_neighbors,
-    extract_target,
-    load_weights,
-    local_mse,
-    local_mse_grad,
-    predict_borders,
-    save_weights,
-)
+from .padding_module import FilterBank, PaddingModule, load_weights, save_weights
 
 __version__ = "0.1.0"

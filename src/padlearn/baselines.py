@@ -9,27 +9,9 @@ initialization, so the two are bit-identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .padding_module import PaddingModule
-
-PAD_KINDS = ("zero", "reflect", "replicate", "mean_interp", "module")
-
-
-@dataclass(frozen=True)
-class PadMethod:
-    """A padding choice: one of the known kinds plus a ring count."""
-
-    kind: str
-    size: int = 1
-
-    def __post_init__(self):
-        if self.kind not in PAD_KINDS:
-            raise ValueError(f"unknown padding kind {self.kind!r}")
-        if self.size < 1:
-            raise ValueError(f"padding size must be >= 1, got {self.size}")
 
 
 def _spatial_pad_width(arr, size):
@@ -90,22 +72,3 @@ def pad_mean_interp(m, size, dtype=np.float32):
     module = PaddingModule(channels, pad_size=size, dtype=dtype).eval()
     module.freeze()
     return module.forward(m)
-
-
-def pad(m, method, size=None):
-    """Dispatch over the static padding methods.
-
-    `method` is a PadMethod or a kind name (then `size` applies). The
-    learnable kind is excluded here: it needs a filter bank.
-    """
-    if not isinstance(method, PadMethod):
-        method = PadMethod(method, 1 if size is None else size)
-    if method.kind == "zero":
-        return pad_zero(m, method.size)
-    if method.kind == "replicate":
-        return pad_replicate(m, method.size)
-    if method.kind == "reflect":
-        return pad_reflect(m, method.size)
-    if method.kind == "mean_interp":
-        return pad_mean_interp(m, method.size)
-    raise ValueError("module padding needs a filter bank; use PaddingModule")

@@ -14,210 +14,20 @@ On the way back, gradients arriving for the padded rings are discarded:
 ``backward`` updates the filters from the cached supervision pair and passes
 only the interior gradient to the previous layer.
 
-Two granularities are exposed:
-
-* module-level functions (``extract_target`` .. ``local_mse_grad``) operate
-  on single-channel 2-D matrices and are the reference definitions;
-* :class:`PaddingModule` runs the same math vectorized over a batch and all
-  channels at once, for use inside a network.
+:class:`PaddingModule` runs this math as one batched kernel over a whole
+(N, H, W, C) batch and all channels at once. The kernel is the only
+implementation: the tests check it against an independent loop-based
+reference, one 2-D plane at a time.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_core import reflect_pad_1d, zero_pad_1d
-
 WEIGHTS_MAGIC = b"PADMOD1\n"
-
-
-class BorderBundle(NamedTuple):
-    """Four border-related row vectors, in fixed order.
-
-    ``left`` and ``right`` are the corresponding columns transposed into row
-    vectors. Top/bottom lengths match, as do left/right lengths.
-    """
-
-    top: np.ndarray
-    bottom: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def lengths(self):
-        return tuple(len(r) for r in self)
-
-
-class PredictorBundle(NamedTuple):
-    """A BorderBundle after per-row reflection-then-zero padding.
-
-    Each row is 4 longer than its source row and starts/ends with an exact 0.
-    """
-
-    top: np.ndarray
-    bottom: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def lengths(self):
-        return tuple(len(r) for r in self)
-
-
-def _require_2d(m, min_h, min_w, what):
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError(f"{what} expects a 2-D matrix, got ndim={m.ndim}")
-    h, w = m.shape
-    if h < min_h or w < min_w:
-        raise ValueError(
-            f"{what} needs at least {min_h}x{min_w}, got {h}x{w}"
-        )
-    return m
-
-
-def extract_target(m):
-    """Target borders of a 2-D input: (top row, bottom row, leftT, rightT).
-
-    These are the values the filters learn to predict. Needs >= 4 in both
-    dims so the matching predictor rows are non-degenerate.
-    """
-    m = _require_2d(m, 4, 4, "extract_target")
-    return BorderBundle(
-        top=m[0, :].copy(),
-        bottom=m[-1, :].copy(),
-        left=m[:, 0].copy(),
-        right=m[:, -1].copy(),
-    )
-
-
-def extract_neighbors(m):
-    """Rows/columns adjacent to the borders, with their end entries dropped.
-
-    The end entries overlap the perpendicular borders already covered by the
-    target bundle, so they are excluded: lengths are (c-2, c-2, r-2, r-2).
-    """
-    m = _require_2d(m, 4, 4, "extract_neighbors")
-    return BorderBundle(
-        top=m[1, 1:-1].copy(),
-        bottom=m[-2, 1:-1].copy(),
-        left=m[1:-1, 1].copy(),
-        right=m[1:-1, -2].copy(),
-    )
-
-
-def extract_borders(m):
-    """Full borders of the current (possibly already padded) input.
-
-    Unlike :func:`extract_neighbors` nothing is trimmed; corner values
-    appear in both the horizontal and vertical rows.
-    """
-    m = _require_2d(m, 2, 2, "extract_borders")
-    return BorderBundle(
-        top=m[0, :].copy(),
-        bottom=m[-1, :].copy(),
-        left=m[:, 0].copy(),
-        right=m[:, -1].copy(),
-    )
-
-
-def build_predictor(b):
-    """Reflect-then-zero pad every row of a bundle (each grows by 4)."""
-    return PredictorBundle(*(zero_pad_1d(reflect_pad_1d(r)) for r in b))
-
-
-def _slide_filter_1d(theta, padded_row):
-    # valid 1x3 correlation, stride 1: out[j] = t0*x[j] + t1*x[j+1] + t2*x[j+2]
-    return (
-        theta[0] * padded_row[:-2]
-        + theta[1] * padded_row[1:-1]
-        + theta[2] * padded_row[2:]
-    )
-
-
-def predict_borders(filters, p, channel):
-    """Apply one channel's 1x3 filter to every row of a predictor bundle.
-
-    Each output row is 2 shorter than its input row.
-    """
-    theta = filters.channel(channel)
-    return BorderBundle(*(_slide_filter_1d(theta, r) for r in p))
-
-
-def assemble_padded(m, o):
-    """Wrap one ring of predicted values around a 2-D input.
-
-    ``o`` holds the predictions for the top, bottom, left and right of the
-    output; its horizontal rows must be c+2 long and its vertical rows r+2
-    long for an r x c input. The corners each receive one horizontal and one
-    vertical prediction, added and halved. The interior is the input,
-    bit-exact.
-    """
-    m = _require_2d(m, 1, 1, "assemble_padded")
-    h, w = m.shape
-    want = (w + 2, w + 2, h + 2, h + 2)
-    if o.lengths != want:
-        raise ValueError(
-            f"prediction lengths {o.lengths} do not fit input {h}x{w}, need {want}"
-        )
-    out = np.zeros((h + 2, w + 2), dtype=np.result_type(m, o.top))
-    out[1:-1, 1:-1] = m
-    out[0, :] = o.top
-    out[-1, :] = o.bottom
-    out[1:-1, 0] = o.left[1:-1]
-    out[1:-1, -1] = o.right[1:-1]
-    out[0, 0] = (o.top[0] + o.left[0]) / 2
-    out[0, -1] = (o.top[-1] + o.right[0]) / 2
-    out[-1, 0] = (o.bottom[0] + o.left[-1]) / 2
-    out[-1, -1] = (o.bottom[-1] + o.right[-1]) / 2
-    return out
-
-
-def _bundle_residuals(theta, p, t):
-    preds = [_slide_filter_1d(theta, pr) for pr in p]
-    for pred, tr in zip(preds, t):
-        if len(pred) != len(tr):
-            raise ValueError(
-                f"prediction length {len(pred)} does not match target length {len(tr)}"
-            )
-    return [pred - tr for pred, tr in zip(preds, t)]
-
-
-def local_mse(filters, p, t, channel, reduction="mean"):
-    """Squared error between filtered predictor rows and target rows.
-
-    ``reduction`` is "mean" (over all terms of all four rows) or "sum".
-    """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    theta = filters.channel(channel)
-    residuals = _bundle_residuals(theta, p, t)
-    total = sum(float(np.sum(r * r)) for r in residuals)
-    if reduction == "sum":
-        return total
-    return total / sum(len(r) for r in residuals)
-
-
-def local_mse_grad(filters, p, t, channel):
-    """Gradient of the mean-reduced local MSE w.r.t. one channel's filter.
-
-    Component m accumulates 2 * residual * x_m over every sliding window,
-    where x_m is the window element that filter weight m multiplies, scaled
-    by the same term count the mean in :func:`local_mse` divides by.
-    """
-    theta = filters.channel(channel)
-    residuals = _bundle_residuals(theta, p, t)
-    n_terms = sum(len(r) for r in residuals)
-    grad = np.zeros(3, dtype=np.result_type(*(r.dtype for r in residuals)))
-    for pr, res in zip(p, residuals):
-        n = len(res)
-        for m in range(3):
-            grad[m] += 2.0 * np.dot(res, pr[m : m + n])
-    return grad / n_terms
 
 
 class FilterBank:
@@ -248,13 +58,6 @@ class FilterBank:
         self._m = np.zeros_like(self.weights)
         self._v = np.zeros_like(self.weights)
         self._t = 0
-
-    def channel(self, index):
-        if not 0 <= index < self.channels:
-            raise IndexError(
-                f"channel {index} out of range for {self.channels} filters"
-            )
-        return self.weights[index]
 
     def step(self, grads):
         grads = np.asarray(grads, dtype=self.weights.dtype)
@@ -305,8 +108,8 @@ def _reflected(rows):
 def _slide(taps, rows, out):
     """Valid 1x3 correlation along axis 2, written into ``out``.
 
-    rows (N, 2, L, C) -> out (N, 2, L-2, C) with the arithmetic order of
-    :func:`_slide_filter_1d`, so results match it bit for bit.
+    rows (N, 2, L, C) -> out (N, 2, L-2, C), each value summed in the order
+    t0*x0 + t1*x1 + t2*x2.
     """
     n = out.shape[2]
     np.multiply(taps[0, :n], rows[:, :, :-2], out=out)
@@ -342,24 +145,32 @@ def _pad_ring(out, o, h, w, taps):
     corners /= 2
 
 
+def _pairs(x):
+    """The two supervision pairs of x (N, H, W, C), as (target, rows) views.
+
+    The targets are the outermost rows and columns of x, the predictor rows
+    are the ones just inside them with their ends dropped. Top+bottom comes
+    first, then left+right, each stacked on axis 1 as in the ring code.
+    """
+    _, h, w, _ = x.shape
+    return (
+        (x[:, 0:h:h - 1], x[:, 1 : h - 1 : h - 3, 1 : w - 1]),
+        (x[:, :, 0:w:w - 1].transpose(0, 2, 1, 3),
+         x[:, 1 : h - 1, 1 : w - 1 : w - 3].transpose(0, 2, 1, 3)),
+    )
+
+
 def _pair_stats(weights, x):
     """Per-channel mean MSE and filter gradient of the supervision pairs of x.
 
-    The targets are the outermost rows and columns of x (N, H, W, C); the
-    predictor rows are the ones just inside them, with their ends dropped.
-    Residuals are taken in the filters' arithmetic, as in
-    :func:`local_mse`, then summed in float64.
+    Residuals are taken in the filters' arithmetic, then summed in float64.
+    The mean runs over all 2(H+W) border values of every image.
     """
     n, h, w, c = x.shape
     taps = _taps(weights, np.result_type(weights, x), max(h, w))
     mse = np.zeros(c)
     grad = np.zeros((c, 3))
-    pairs = (
-        (x[:, 0:h:h - 1], x[:, 1 : h - 1 : h - 3, 1 : w - 1]),
-        (x[:, :, 0:w:w - 1].transpose(0, 2, 1, 3),
-         x[:, 1 : h - 1, 1 : w - 1 : w - 3].transpose(0, 2, 1, 3)),
-    )
-    for target, rows in pairs:
+    for target, rows in _pairs(x):
         res, padded = _predict(taps, rows)
         res -= target
         res = res.astype(np.float64)
@@ -380,8 +191,9 @@ class PaddingModule:
     it reads out of that input, and strips the padded-ring gradients,
     returning only the interior. An input changed in place between the two
     calls changes the update. In eval mode ``forward`` is pure and
-    ``backward`` only strips. Switching to eval mode drops the cache, so a
-    later train-mode ``backward`` needs a new train-mode ``forward`` first.
+    ``backward`` only strips. Switching to eval mode drops the cache, and so
+    does a ``forward`` that raises, so a later train-mode ``backward`` needs
+    a new train-mode ``forward`` that succeeded.
 
     ``forward`` allocates the padded output once, copies the input into its
     interior and writes each ring's predictions straight into it.
@@ -446,6 +258,7 @@ class PaddingModule:
 
     def forward(self, x):
         start = time.perf_counter()
+        self.cache = None  # a forward that raises leaves nothing to update from
         x4, ndim = self._as_batch(x, "forward")
         n, h, w, _ = x4.shape
         min_side = 4 if self.mode == "train" else 2
@@ -454,12 +267,6 @@ class PaddingModule:
                 f"{self.mode}-mode forward needs H,W >= {min_side}, got {h}x{w}"
             )
         s = self.pad_size
-        if self.mode == "train":
-            # supervision comes from the original input only, never from
-            # already-padded rings; the update reads it as views of x
-            self.cache = x4
-        else:
-            self.cache = None  # cache tracks the most recent forward only
         dtype = np.result_type(x4, self.filters.weights)
         out = np.empty((n, h + 2 * s, w + 2 * s, x4.shape[3]), dtype=dtype)
         out[:, s : s + h, s : s + w] = x4
@@ -474,6 +281,9 @@ class PaddingModule:
                 "padding produced non-finite values (divergent local filters?)"
             )
         if self.mode == "train":
+            # supervision comes from the original input only, never from
+            # already-padded rings; the update reads it as views of x
+            self.cache = x4
             self._last_output_shape = out.shape
         self.seconds += time.perf_counter() - start
         if ndim == 2:

@@ -54,6 +54,25 @@ def m4():
     return M4.copy()
 
 
+def interior(t, margin):
+    """Centered copy of (H, W), (H, W, C) or (N, H, W, C) `t` with `margin`
+    rows and columns removed from each side of the spatial axes.
+
+    Values are copied bit-exactly. Both spatial dims must exceed 2*margin.
+    """
+    t = np.asarray(t)
+    m = int(margin)
+    if m < 1:
+        raise ValueError(f"margin must be >= 1, got {margin}")
+    if t.ndim not in (2, 3, 4):
+        raise ValueError(f"expected a 2-D..4-D tensor, got ndim={t.ndim}")
+    batch = (slice(None),) if t.ndim == 4 else ()
+    h, w = t.shape[len(batch) : len(batch) + 2]
+    if h <= 2 * m or w <= 2 * m:
+        raise ValueError(f"margin {m} too large for spatial shape {(h, w)}")
+    return t[batch + (slice(m, h - m), slice(m, w - m))].copy()
+
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves without hypothesis

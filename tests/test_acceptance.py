@@ -15,10 +15,8 @@ from padlearn.data_io import (images_to_arrays, load_cifar10_batch,
 from padlearn.nn.gradcheck import module_gradient_suite
 from padlearn.nn.network import NetworkSpec
 from padlearn.nn.train import train
-from padlearn.padding_module import (FilterBank, PaddingModule,
-                                     build_predictor, extract_neighbors,
-                                     extract_target, load_weights, local_mse,
-                                     save_weights)
+from padlearn.padding_module import (PaddingModule, _pair_stats, _pairs, _predict,
+                                     _reflected, _taps, load_weights, save_weights)
 
 M4 = np.arange(1.0, 17.0).reshape(4, 4)
 IDENTITY = np.array([[0.0, 1.0, 0.0]])
@@ -38,16 +36,19 @@ def make_module(weights, channels=1, pad_size=1, **kwargs):
     return mod
 
 
+def as_lists(*pairs):
+    """Stacked (1, 2, L, 1) kernel rows as lists: top, bottom, left, right."""
+    return [list(r) for pair in pairs for r in pair[0, :, :, 0]]
+
+
 def test_criterion_01_construction_oracle():
-    target = extract_target(M4)
-    neighbors = extract_neighbors(M4)
-    predictor = build_predictor(neighbors)
+    (t_tb, r_tb), (t_lr, r_lr) = _pairs(M4[None, :, :, None])
     ok = (
-        [list(r) for r in target]
+        as_lists(t_tb, t_lr)
         == [[1, 2, 3, 4], [13, 14, 15, 16], [1, 5, 9, 13], [4, 8, 12, 16]]
-        and [list(r) for r in neighbors]
+        and as_lists(r_tb, r_lr)
         == [[6, 7], [10, 11], [6, 10], [7, 11]]
-        and [list(r) for r in predictor]
+        and as_lists(_reflected(r_tb), _reflected(r_lr))
         == [[0, 7, 6, 7, 6, 0], [0, 11, 10, 11, 10, 0],
             [0, 10, 6, 10, 6, 0], [0, 11, 7, 11, 7, 0]]
     )
@@ -61,13 +62,12 @@ def test_criterion_02_gradient_suite():
 
 
 def test_criterion_03_worked_loss_oracle():
-    bank = FilterBank(1, dtype=np.float64)
-    bank.weights = IDENTITY.copy()
-    predictor = build_predictor(extract_neighbors(M4))
-    target = extract_target(M4)
-    mean = local_mse(bank, predictor, target, 0)
-    total = local_mse(bank, predictor, target, 0, reduction="sum")
-    report(3, "worked-loss oracle", mean == 25.5 and total == 408.0,
+    x = M4[None, :, :, None]
+    mean = _pair_stats(IDENTITY, x)[0][0]
+    taps = _taps(IDENTITY, np.float64, 4)
+    total = sum(float(np.sum((_predict(taps, rows)[0] - target) ** 2))
+                for target, rows in _pairs(x))
+    report(3, "worked-loss oracle", mean == 25.5 and total == 408.0 == 16 * mean,
            f"mean {mean}, sum {total}")
 
 

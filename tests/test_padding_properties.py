@@ -1,23 +1,24 @@
-"""Property tests: the batched PaddingModule against the 2-D reference functions.
+"""Property tests: the batched PaddingModule against the loop-based reference.
 
-The module pads and trains a whole (N, H, W, C) batch at once; the module-level
-functions work on one 2-D plane. These tests draw shapes, ranks, dtypes, ring
-counts and data, and require the two to agree: bit for bit on the padded
-output and the stripped gradient, and to 1e-12 relative on the local loss and
-its gradient in float64.
+The module pads and trains a whole (N, H, W, C) batch at once;
+`padding_reference` works on one 2-D plane with explicit loops. These tests
+draw shapes, ranks, dtypes, ring counts and data, and require the two to
+agree: bit for bit on the padded output and the stripped gradient, and to
+1e-12 relative on the local loss and its gradient in float64. A state
+machine then drives one module through any sequence of mode switches,
+passes and updates.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from padlearn.padding_module import (FilterBank, PaddingModule, assemble_padded,
-                                     build_predictor, extract_borders,
-                                     extract_neighbors, extract_target, local_mse,
-                                     local_mse_grad, predict_borders)
+from padding_reference import local_mse_and_grad, pad_plane
+from padlearn.padding_module import PaddingModule
 
 DTYPES = (np.float32, np.float64)
 
@@ -56,34 +57,23 @@ def module_for(weights, pad_size=1):
 
 
 def reference_pad(x4, weights, rings):
-    """Each image and channel padded ring by ring with the 2-D functions."""
+    """Each image and channel padded ring by ring by the reference."""
     n, h, w, c = x4.shape
-    fb = FilterBank(c, dtype=weights.dtype)
-    fb.weights = weights
-    planes = []
-    for i in range(n):
-        for ch in range(c):
-            plane = x4[i, :, :, ch]
-            for _ in range(rings):
-                preds = predict_borders(fb, build_predictor(extract_borders(plane)), ch)
-                plane = assemble_padded(plane, preds)
-            planes.append(plane)
+    planes = [pad_plane(x4[i, :, :, ch], weights[ch], rings)
+              for i in range(n) for ch in range(c)]
     return np.stack(planes).reshape(n, c, h + 2 * rings, w + 2 * rings).transpose(0, 2, 3, 1)
 
 
 def reference_stats(x4, weights):
     """Per-channel local MSE and its gradient, averaged over the images."""
     n, _, _, c = x4.shape
-    fb = FilterBank(c, dtype=weights.dtype)
-    fb.weights = weights
     mse = np.zeros(c)
     grad = np.zeros((c, 3))
     for i in range(n):
         for ch in range(c):
-            plane = x4[i, :, :, ch]
-            pair = build_predictor(extract_neighbors(plane)), extract_target(plane)
-            mse[ch] += local_mse(fb, *pair, ch) / n
-            grad[ch] += local_mse_grad(fb, *pair, ch) / n
+            plane_mse, plane_grad = local_mse_and_grad(x4[i, :, :, ch], weights[ch])
+            mse[ch] += plane_mse / n
+            grad[ch] += plane_grad / n
     return mse, grad
 
 
@@ -151,3 +141,113 @@ def test_supervision_mse_matches_reference(case):
     assert got == pytest.approx(mse.mean(), rel=1e-12)
     assert np.array_equal(mod.filters.weights, weights)
     assert mod.cache is None
+
+
+class ModuleStateMachine(RuleBasedStateMachine):
+    """One module through any sequence of mode switches, passes and updates.
+
+    `armed` models the cache: set by a train-mode forward that succeeded,
+    dropped by eval, freeze, a forward that raises and whatever consumes
+    the cache (the update, and a train-mode backward).
+    """
+
+    X_SHAPE = (2, 5, 6, 2)
+    OUT_SHAPE = (2, 9, 10, 2)
+
+    def __init__(self):
+        super().__init__()
+        self.mod = PaddingModule(2, pad_size=2, learning_rate=0.05, init="uniform",
+                                 seed=0, dtype=np.float64)
+        self.armed = False
+        self.frozen_weights = None
+
+    def updates(self):
+        return self.mod.mode == "train" and not self.mod.frozen
+
+    @rule()
+    def train(self):
+        self.mod.train()
+
+    @rule()
+    def eval(self):
+        self.mod.eval()
+        self.armed = False
+
+    @rule()
+    def freeze(self):
+        self.mod.freeze()
+        if self.frozen_weights is None:
+            self.frozen_weights = self.mod.filters.weights.copy()
+        self.armed = False
+
+    @rule(seed=st.integers(0, 2**16), diverge=st.booleans())
+    def forward(self, seed, diverge):
+        x = np.random.default_rng(seed).normal(size=self.X_SHAPE)
+        self.armed = False
+        if diverge:
+            x[1, 2, 3, 1] = np.inf
+            with pytest.raises(FloatingPointError):
+                self.mod.forward(x)
+            return
+        assert self.mod.forward(x).shape == self.OUT_SHAPE
+        self.armed = self.mod.mode == "train"
+
+    def _backward(self, g):
+        before = self.mod.filters.weights.copy()
+        if self.updates() and not self.armed:
+            with pytest.raises(RuntimeError):
+                self.mod.backward(g)
+            assert np.array_equal(self.mod.filters.weights, before)
+            return
+        got = self.mod.backward(g)
+        if g is None:
+            assert got is None
+        else:
+            assert got.tobytes() == np.ascontiguousarray(g[:, 2:-2, 2:-2]).tobytes()
+        if not self.updates():
+            assert np.array_equal(self.mod.filters.weights, before)
+        self.armed = False
+
+    @rule(seed=st.integers(0, 2**16))
+    def backward(self, seed):
+        self._backward(np.random.default_rng(seed).normal(size=self.OUT_SHAPE))
+
+    @rule()
+    def backward_none(self):
+        self._backward(None)
+
+    @rule()
+    def local_update(self):
+        if not self.armed:
+            with pytest.raises(RuntimeError):
+                self.mod.local_update()
+            return
+        self.mod.local_update()
+        self.armed = False
+
+    @rule(seed=st.integers(0, 2**16))
+    def supervision_mse(self, seed):
+        x = np.random.default_rng(seed).normal(size=self.X_SHAPE)
+        mod = self.mod
+        before = (mod.filters.weights.copy(), mod.cache, mod.mode, mod.frozen,
+                  mod.last_local_mse)
+        assert np.isfinite(mod.supervision_mse(x))
+        assert np.array_equal(mod.filters.weights, before[0])
+        assert mod.cache is before[1]
+        assert (mod.mode, mod.frozen) == before[2:4]
+        assert np.array_equal(mod.last_local_mse, before[4], equal_nan=True)
+
+    @invariant()
+    def cache_tracks_the_last_train_forward(self):
+        assert (self.mod.cache is not None) == self.armed
+
+    @invariant()
+    def frozen_stays_frozen(self):
+        assert self.mod.frozen == (self.frozen_weights is not None)
+        if self.mod.frozen:
+            assert self.mod.mode == "eval"
+            assert np.array_equal(self.mod.filters.weights, self.frozen_weights)
+
+
+ModuleStateMachine.TestCase.settings = settings(max_examples=50, stateful_step_count=30)
+TestModuleStateMachine = ModuleStateMachine.TestCase

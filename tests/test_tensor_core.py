@@ -1,19 +1,30 @@
+"""The array helpers the other tests stand on, and the pad/interior round trip.
+
+`row`, `col_t`, `vconcat`, `reflect_row` and `zero_row` are the building
+blocks of the loop-based padding reference, and `interior` crops what
+every padding method added back off.
+"""
 import numpy as np
 import pytest
 
-from padlearn.baselines import pad_reflect, pad_replicate, pad_zero
-from padlearn.tensor_core import (col_t, interior, reflect_pad_1d, row,
-                                  vconcat, zero_pad_1d)
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import interior
+from padding_reference import col_t, reflect_row, row, vconcat, zero_row
+from padlearn.baselines import pad_mean_interp, pad_reflect, pad_replicate, pad_zero
+from padlearn.padding_module import PaddingModule
 
 
 class TestRowCol:
     def test_row(self, m4):
-        assert list(row(m4, 0)) == [1, 2, 3, 4]
-        assert list(row(m4, 3)) == [13, 14, 15, 16]
+        assert row(m4, 0) == [1, 2, 3, 4]
+        assert row(m4, 3) == [13, 14, 15, 16]
 
     def test_col_t(self, m4):
-        assert list(col_t(m4, 0)) == [1, 5, 9, 13]
-        assert list(col_t(m4, 3)) == [4, 8, 12, 16]
+        assert col_t(m4, 0) == [1, 5, 9, 13]
+        assert col_t(m4, 3) == [4, 8, 12, 16]
 
     def test_out_of_range(self, m4):
         with pytest.raises(IndexError):
@@ -52,36 +63,36 @@ class TestVconcat:
 
 class TestReflectPad:
     def test_two_element(self):
-        assert list(reflect_pad_1d(np.array([6.0, 7.0]))) == [7, 6, 7, 6]
+        assert reflect_row([6.0, 7.0]) == [7, 6, 7, 6]
 
     def test_three_element(self):
         a, b, c = 1.5, 2.5, -3.0
-        assert list(reflect_pad_1d(np.array([a, b, c]))) == [b, a, b, c, b]
+        assert reflect_row([a, b, c]) == [b, a, b, c, b]
 
     def test_constant_invariant(self):
-        assert list(reflect_pad_1d(np.array([5.0, 5.0, 5.0]))) == [5.0] * 5
+        assert reflect_row([5.0, 5.0, 5.0]) == [5.0] * 5
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            reflect_pad_1d(np.array([1.0]))
+            reflect_row([1.0])
 
 
 class TestZeroPad:
     def test_definition(self):
-        assert list(zero_pad_1d(np.array([7.0, 6.0, 7.0, 6.0]))) == [0, 7, 6, 7, 6, 0]
+        assert zero_row([7.0, 6.0, 7.0, 6.0]) == [0, 7, 6, 7, 6, 0]
 
     def test_empty(self):
-        assert list(zero_pad_1d(np.array([]))) == [0, 0]
+        assert zero_row([]) == [0, 0]
 
     def test_single(self):
-        assert list(zero_pad_1d(np.array([5.0]))) == [0, 5, 0]
+        assert zero_row([5.0]) == [0, 5, 0]
 
 
 def test_reflect_then_zero_length_law():
     rng = np.random.default_rng(0)
     for n in range(2, 41):
-        v = rng.uniform(size=n)
-        assert len(zero_pad_1d(reflect_pad_1d(v))) == n + 4
+        v = list(rng.uniform(size=n))
+        assert len(zero_row(reflect_row(v))) == n + 4
 
 
 class TestInterior:
@@ -102,6 +113,8 @@ class TestInterior:
     def test_channels_preserved(self):
         t = np.arange(48.0).reshape(4, 4, 3)
         assert np.array_equal(interior(t, 1), t[1:3, 1:3, :])
+        b = np.arange(96.0).reshape(2, 4, 4, 3)
+        assert np.array_equal(interior(b, 1), b[:, 1:3, 1:3, :])
 
     def test_returns_copy(self):
         t = np.zeros((4, 4))
@@ -110,9 +123,39 @@ class TestInterior:
         assert t[1, 1] == 0
 
 
-@pytest.mark.parametrize("padder", [pad_zero, pad_reflect, pad_replicate])
+def pad_module(m, size):
+    """`padlearn pad --method module`: a frozen module with drawn filters."""
+    channels = 1 if m.ndim == 2 else m.shape[-1]
+    module = PaddingModule(channels, pad_size=size, init="uniform", seed=size,
+                           dtype=m.dtype).eval()
+    module.freeze()
+    return module.forward(m)
+
+
+@st.composite
+def images(draw, margin):
+    """A 2-D, 3-D or 4-D float32/float64 input large enough for every method."""
+    ndim = draw(st.sampled_from((2, 3, 4)))
+    h = draw(st.integers(margin + 1, 9))
+    w = draw(st.integers(margin + 1, 9))
+    n = draw(st.integers(1, 3))
+    c = draw(st.integers(1, 4))
+    shape = {2: (h, w), 3: (h, w, c), 4: (n, h, w, c)}[ndim]
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=shape).astype(dtype)
+
+
+@pytest.mark.parametrize("padder", [pad_zero, pad_reflect, pad_replicate,
+                                    pad_mean_interp, pad_module])
 @pytest.mark.parametrize("margin", [1, 2, 3])
-def test_pad_interior_round_trip(padder, margin):
-    rng = np.random.default_rng(margin)
-    t = rng.uniform(size=(6, 7, 3))
-    assert np.array_equal(interior(padder(t, margin), margin), t)
+@given(data=st.data())
+def test_pad_interior_round_trip(padder, margin, data):
+    t = data.draw(images(margin))
+    out = padder(t, margin)
+    spatial = 1 if t.ndim == 4 else 0
+    want = list(t.shape)
+    want[spatial] += 2 * margin
+    want[spatial + 1] += 2 * margin
+    assert out.shape == tuple(want)
+    assert interior(out, margin).tobytes() == t.astype(out.dtype).tobytes()
