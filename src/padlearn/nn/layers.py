@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..baselines import pad_zero
+
 
 class ZeroPad:
     """Static zero padding with the same forward/backward surface as the
@@ -32,7 +34,7 @@ class ZeroPad:
         s = self.pad_size
         if s == 0:
             return x
-        return np.pad(x, ((0, 0), (s, s), (s, s), (0, 0)), mode="constant")
+        return pad_zero(x, s)
 
     def backward(self, g):
         s = self.pad_size

@@ -35,9 +35,7 @@ class NetworkSpec:
     padding: str = "zero"
     positions: str = "all"
     module_lr: float = 0.01
-    module_optimizer: str = "sgd"
     module_init: str = "mean"
-    dtype: type = np.float32
 
     def __post_init__(self):
         if self.padding not in PADDINGS:
@@ -98,25 +96,22 @@ def build_tiny4(spec, seed):
     def padding_for(index, channels):
         if index not in placed:
             return ZeroPad(1)
-        module = PaddingModule(channels, pad_size=1, learning_rate=spec.module_lr,
-                               optimizer=spec.module_optimizer,
-                               init=spec.module_init, seed=seed,
-                               dtype=spec.dtype)
         if spec.padding == "meaninterp":
-            module.freeze()
-        else:
-            modules.append(module)
+            # frozen at the mean filter, whatever init a module run would use
+            return PaddingModule(channels, pad_size=1).freeze()
+        module = PaddingModule(channels, pad_size=1, learning_rate=spec.module_lr,
+                               init=spec.module_init, seed=seed)
+        modules.append(module)
         return module
 
     layers = []
     for i, (cin, cout) in enumerate(_CONV_PLAN):
-        layers.append(Conv2D(cin, cout, padding_for(i, cin), kernel_size=3,
-                             rng=rng, dtype=spec.dtype))
+        layers.append(Conv2D(cin, cout, padding_for(i, cin), kernel_size=3, rng=rng))
         layers.append(ReLU())
         if i in (0, 1, 3):
             layers.append(MaxPool2x2())
     layers.append(Flatten())
-    layers.append(Dense(4 * 4 * 64, 128, rng=rng, dtype=spec.dtype))
+    layers.append(Dense(4 * 4 * 64, 128, rng=rng))
     layers.append(ReLU())
-    layers.append(Dense(128, 10, rng=rng, dtype=spec.dtype))
+    layers.append(Dense(128, 10, rng=rng))
     return Network(layers, modules)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, learning_rate=1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = None
         self._v = None
         self._t = 0
@@ -23,7 +24,7 @@ class Adam:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for i, (p, g) in enumerate(zip(params, grads)):
             if p.shape != g.shape:
                 raise ValueError(f"param {i}: shape {p.shape} vs grad {g.shape}")
@@ -31,4 +32,4 @@ class Adam:
             self._v[i] = b2 * self._v[i] + (1 - b2) * g * g
             m_hat = self._m[i] / (1 - b1**self._t)
             v_hat = self._v[i] / (1 - b2**self._t)
-            p -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+            p -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.dtype)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data_io import MetricsRow
+from ..padding_module import PaddingModule
 from .layers import softmax_xent
 from .network import build_tiny4
 from .optim import Adam
@@ -61,16 +62,6 @@ def evaluate(net, x, y, batch_size=64):
     return loss_sum / n, correct / n
 
 
-def _epoch_module_mse(modules, batch_mse_sums, batch_counts):
-    values = []
-    for m in modules:
-        if m.frozen or batch_counts[id(m)] == 0:
-            values.append(m.last_local_mse)
-        else:
-            values.append(batch_mse_sums[id(m)] / batch_counts[id(m)])
-    return float(np.mean(values)) if values else float("nan")
-
-
 def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
           learning_rate, freeze_after=None, log=None):
     """Train tiny4 per `spec`; returns the per-epoch metric rows.
@@ -97,8 +88,9 @@ def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
         epoch_start = time.perf_counter()
         loss_sum = 0.0
         correct = 0
-        mse_sums = {id(m): 0.0 for m in net.modules}
-        mse_counts = {id(m): 0 for m in net.modules}
+        # the modules freeze together, so they train for all of an epoch or none
+        frozen = any(m.frozen for m in net.modules)
+        mse_sums = [0.0] * len(net.modules)
         for b, idx in enumerate(batches):
             xb = x_train[idx]
             yb = y_train[idx]
@@ -112,12 +104,15 @@ def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
             correct += int((logits.argmax(axis=1) == yb).sum())
             net.backward(dlogits)
             optimizer.step(net.params(), net.grads())
-            for m in net.modules:
-                if not m.frozen:
-                    mse_sums[id(m)] += m.last_local_mse * len(xb)
-                    mse_counts[id(m)] += len(xb)
+            if not frozen:
+                for i, m in enumerate(net.modules):
+                    mse_sums[i] += m.last_local_mse * len(xb)
         train_seconds = time.perf_counter() - epoch_start
-        module_mse = _epoch_module_mse(net.modules, mse_sums, mse_counts)
+        if frozen:
+            mse_values = [m.last_local_mse for m in net.modules]
+        else:
+            mse_values = [total / len(x_train) for total in mse_sums]
+        module_mse = float(np.mean(mse_values)) if mse_values else float("nan")
 
         eval_start = time.perf_counter()
         test_loss, test_acc = evaluate(net, x_test, y_test)
@@ -136,12 +131,8 @@ def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
                 m.freeze()
 
     total_seconds = time.perf_counter() - total_start
-    module_seconds = sum(m.seconds for m in net.modules)
-    # frozen mean-interp pads also cost time; count every padding module
-    seen = {id(m) for m in net.modules}
-    for layer in net.layers:
-        pad = getattr(layer, "padding", None)
-        if pad is not None and hasattr(pad, "seconds") and id(pad) not in seen:
-            module_seconds += pad.seconds
+    # frozen mean-interp pads also cost time, so count every padding module
+    module_seconds = sum(layer.padding.seconds for layer in net.layers
+                         if isinstance(getattr(layer, "padding", None), PaddingModule))
     return net, TrainReport(rows=rows, total_seconds=total_seconds,
                             module_seconds=module_seconds)

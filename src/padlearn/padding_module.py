@@ -4,7 +4,7 @@ The layer supervises itself: the outermost rows/columns of the input are
 the targets, and the rows/columns just inside them are the predictor. Each
 channel owns a 1x3 filter that slides (stride 1) over the reflect-then-zero
 padded predictor rows to produce border predictions; the squared prediction
-error is driven down by a local optimizer, independent of whatever loss the
+error is driven down by a local SGD step, independent of whatever loss the
 surrounding network trains on. At padding time the same filters extrapolate
 outward one ring at a time from the current outermost border, and the ring
 corners average the two predictions (horizontal and vertical) that meet
@@ -31,21 +31,18 @@ WEIGHTS_MAGIC = b"PADMOD1\n"
 
 
 class FilterBank:
-    """Per-channel 1x3 filter weights plus their local-optimizer state.
+    """Per-channel 1x3 filter weights and their local SGD step.
 
-    ``weights`` has shape (channels, 3). ``step`` applies one optimizer
-    update given a same-shaped gradient array.
+    ``weights`` has shape (channels, 3). ``step`` applies one update given a
+    same-shaped gradient array.
     """
 
-    def __init__(self, channels, learning_rate=0.01, optimizer="sgd",
-                 init="mean", seed=None, dtype=np.float32):
+    def __init__(self, channels, learning_rate=0.01, init="mean", seed=None,
+                 dtype=np.float32):
         if channels < 1:
             raise ValueError(f"need at least one channel, got {channels}")
-        if optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {optimizer!r}")
         self.channels = int(channels)
         self.learning_rate = float(learning_rate)
-        self.optimizer = optimizer
         self.dtype = np.dtype(dtype)
         if init == "mean":
             # start as a local-mean extrapolator
@@ -55,9 +52,6 @@ class FilterBank:
             self.weights = rng.uniform(-0.1, 0.1, size=(channels, 3)).astype(self.dtype)
         else:
             raise ValueError(f"unknown init {init!r}")
-        self._m = np.zeros_like(self.weights)
-        self._v = np.zeros_like(self.weights)
-        self._t = 0
 
     def step(self, grads):
         grads = np.asarray(grads, dtype=self.weights.dtype)
@@ -65,16 +59,7 @@ class FilterBank:
             raise ValueError(
                 f"gradient shape {grads.shape} != weights shape {self.weights.shape}"
             )
-        if self.optimizer == "sgd":
-            self.weights = self.weights - self.learning_rate * grads
-        else:
-            self._t += 1
-            b1, b2, eps = 0.9, 0.999, 1e-8
-            self._m = b1 * self._m + (1 - b1) * grads
-            self._v = b2 * self._v + (1 - b2) * grads * grads
-            m_hat = self._m / (1 - b1 ** self._t)
-            v_hat = self._v / (1 - b2 ** self._t)
-            self.weights = self.weights - self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        self.weights = self.weights - self.learning_rate * grads
         if not np.all(np.isfinite(self.weights)):
             raise FloatingPointError("filter weights diverged to non-finite values")
 
@@ -202,13 +187,12 @@ class PaddingModule:
     updating its filters.
     """
 
-    def __init__(self, channels, pad_size=1, learning_rate=0.01,
-                 optimizer="sgd", init="mean", seed=None, dtype=np.float32):
+    def __init__(self, channels, pad_size=1, learning_rate=0.01, init="mean",
+                 seed=None, dtype=np.float32):
         if pad_size < 1:
             raise ValueError(f"pad_size must be >= 1, got {pad_size}")
         self.filters = FilterBank(channels, learning_rate=learning_rate,
-                                  optimizer=optimizer, init=init, seed=seed,
-                                  dtype=dtype)
+                                  init=init, seed=seed, dtype=dtype)
         self.pad_size = int(pad_size)
         self.mode = "train"
         self.frozen = False
@@ -308,7 +292,7 @@ class PaddingModule:
         return float(mse.mean())
 
     def local_update(self):
-        """One optimizer step on the filters from the cached supervision.
+        """One SGD step on the filters from the cached supervision.
 
         The per-channel gradient is averaged over the batch the cached
         input holds; the cache is consumed.
@@ -356,20 +340,6 @@ class PaddingModule:
             return out[0]
         return out
 
-    # -- persistence ----------------------------------------------------------
-
-    def save_weights(self, path):
-        save_weights(path, self.filters.weights)
-
-    def load_weights(self, path):
-        weights = load_weights(path)
-        if weights.shape[0] != self.filters.channels:
-            raise ValueError(
-                f"weights file holds {weights.shape[0]} channels, module has "
-                f"{self.filters.channels}"
-            )
-        self.filters.weights = weights.astype(self.filters.weights.dtype)
-
 
 def save_weights(path, weights):
     """Write a filter bank: magic, u32-LE channel count, 3 f32-LE per channel."""
@@ -388,8 +358,13 @@ def load_weights(path):
         blob = f.read()
     if not blob.startswith(WEIGHTS_MAGIC):
         raise ValueError(f"{path}: not a padding-filter weights file")
+    header = len(WEIGHTS_MAGIC) + 4
+    if len(blob) < header:
+        raise ValueError(
+            f"{path}: weights file ends inside its {header}-byte header"
+        )
     (channels,) = struct.unpack_from("<I", blob, len(WEIGHTS_MAGIC))
-    body = blob[len(WEIGHTS_MAGIC) + 4 :]
+    body = blob[header:]
     if len(body) != channels * 12:
         raise ValueError(
             f"{path}: expected {channels * 12} payload bytes, found {len(body)}"

@@ -1,10 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from padlearn.cli import main
-from padlearn.data_io import read_metrics_csv, read_ppm, write_ppm
+from padlearn.data_io import load_cifar10_dir, read_metrics_csv, read_ppm, write_ppm
 from padlearn.padding_module import load_weights, save_weights
+from padlearn.synthetic import main as synthetic_main
 from padlearn.synthetic import make_synthetic_cifar
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*argv):
+    """`python -m padlearn.cli argv...` in a child process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "padlearn.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -80,6 +95,27 @@ class TestPadCommand:
                      "--size", "1", "--weights", str(bank), "--output", str(out)])
         assert code == 1
         assert f"{bank}: weights file holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weights_shorter_than_header_are_contract_error(self, image_ppm, tmp_path):
+        bank = tmp_path / "short.padmod"
+        bank.write_bytes(b"PADMOD1\n\x03")
+        out = tmp_path / "o.ppm"
+        done = run_cli("pad", "--input", str(image_ppm), "--method", "module",
+                       "--size", "1", "--weights", str(bank), "--output", str(out))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_weights_channel_mismatch_is_contract_error(self, image_ppm, tmp_path, capsys):
+        bank = tmp_path / "two.padmod"
+        save_weights(bank, np.ones((2, 3), dtype=np.float32))
+        out = tmp_path / "o.ppm"
+        code = main(["pad", "--input", str(image_ppm), "--method", "module",
+                     "--size", "1", "--weights", str(bank), "--output", str(out)])
+        assert code == 1
+        assert "channels" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_is_contract_error(self, tmp_path):
@@ -165,3 +201,15 @@ class TestTrainCommand:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(tiny_data), "--turbo"])
         assert exc.value.code == 2
+
+
+class TestSyntheticCommand:
+    def test_writes_loadable_seeded_corpus(self, tmp_path, capsys):
+        argv = ["--train", "20", "--test", "10", "--seed", "1"]
+        assert synthetic_main(["--out", str(tmp_path / "a")] + argv) == 0
+        assert synthetic_main(["--out", str(tmp_path / "b")] + argv) == 0
+        assert "20 train / 10 test" in capsys.readouterr().out
+        train, test = load_cifar10_dir(tmp_path / "a")
+        assert (len(train), len(test)) == (20, 10)
+        for name in ("data_batch_1.bin", "test_batch.bin"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

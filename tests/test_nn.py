@@ -296,6 +296,14 @@ class TestNetworkAssembly:
                    for c in convs)
         assert net.modules == []
 
+    def test_meaninterp_freezes_the_mean_filter_whatever_the_init(self):
+        spec = NetworkSpec(padding="meaninterp", positions="all", module_init="uniform")
+        pads = [l.padding for l in build_tiny4(spec, seed=0).layers
+                if isinstance(l, Conv2D)]
+        for pad in pads:
+            assert np.array_equal(pad.filters.weights,
+                                  np.full((pad.filters.channels, 3), 1.0, np.float32) / 3)
+
     def test_forward_shapes(self):
         net = build_tiny4(NetworkSpec(padding="module", positions="all"), seed=0)
         logits = net.forward(np.zeros((2, 32, 32, 3), dtype=np.float32))

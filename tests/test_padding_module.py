@@ -501,12 +501,12 @@ class TestWeightsFile:
         with pytest.raises(ValueError, match="non-finite"):
             load_weights(path)
 
-    def test_module_channel_mismatch(self, tmp_path):
-        path = tmp_path / "bank.padmod"
-        save_weights(path, np.ones((2, 3), dtype=np.float32))
-        mod = PaddingModule(3)
+    @pytest.mark.parametrize("size", [8, 9, 11])
+    def test_shorter_than_header(self, tmp_path, size):
+        path = tmp_path / "short.padmod"
+        path.write_bytes((b"PADMOD1\n" + bytes(4))[:size])
         with pytest.raises(ValueError):
-            mod.load_weights(path)
+            load_weights(path)
 
 
 class TestFilterBank:
@@ -520,17 +520,8 @@ class TestFilterBank:
         assert np.array_equal(a.weights, b.weights)
         assert np.all(np.abs(a.weights) <= 0.1)
 
-    def test_adam_step_moves_weights(self):
-        fb = FilterBank(1, optimizer="adam", learning_rate=0.5, dtype=np.float64)
-        before = fb.weights.copy()
-        fb.step(np.ones((1, 3)))
-        delta = before - fb.weights
-        np.testing.assert_allclose(delta, 0.5, rtol=1e-7)
-
     def test_bad_config(self):
         with pytest.raises(ValueError):
             FilterBank(0)
-        with pytest.raises(ValueError):
-            FilterBank(1, optimizer="rmsprop")
         with pytest.raises(ValueError):
             FilterBank(1, init="zeros")
