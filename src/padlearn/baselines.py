@@ -69,6 +69,4 @@ def pad_mean_interp(m, size, dtype=np.float32):
     m = np.asarray(m)
     _check_size(size)
     channels = 1 if m.ndim == 2 else m.shape[-1]
-    module = PaddingModule(channels, pad_size=size, dtype=dtype).eval()
-    module.freeze()
-    return module.forward(m)
+    return PaddingModule(channels, pad_size=size, dtype=dtype).freeze().forward(m)

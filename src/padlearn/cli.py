@@ -16,7 +16,7 @@ from .baselines import pad_mean_interp, pad_reflect, pad_replicate, pad_zero
 from .data_io import (images_to_arrays, load_cifar10_dir, read_ppm,
                       write_metrics_csv, write_ppm)
 from .nn.gradcheck import full_suite
-from .nn.network import NetworkSpec
+from .nn.network import PADDINGS, PLACEMENTS, NetworkSpec
 from .nn.train import train
 from .padding_module import PaddingModule, load_weights, save_weights
 
@@ -50,10 +50,8 @@ def build_parser():
 
     p_train = sub.add_parser("train", help="train the tiny4 classifier")
     p_train.add_argument("--data", required=True, help="directory of CIFAR-10 binary batches")
-    p_train.add_argument("--padding", default="zero",
-                         choices=["zero", "meaninterp", "module"])
-    p_train.add_argument("--positions", default="all",
-                         choices=["all", "first", "middle", "last", "comb"])
+    p_train.add_argument("--padding", default="zero", choices=PADDINGS)
+    p_train.add_argument("--positions", default="all", choices=list(PLACEMENTS))
     p_train.add_argument("--epochs", type=_positive_int, default=10)
     p_train.add_argument("--batch", type=_positive_int, default=64)
     p_train.add_argument("--seed", type=int, default=0)
@@ -86,8 +84,7 @@ def cmd_pad(args):
             raise ValueError(
                 f"weights file has {weights.shape[0]} channels, image has {image.shape[2]}"
             )
-        module = PaddingModule(weights.shape[0], pad_size=args.size).eval()
-        module.freeze()
+        module = PaddingModule(weights.shape[0], pad_size=args.size).freeze()
         module.filters.weights = weights
         padded = module.forward(image)
     elif args.method == "zero":
@@ -122,8 +119,6 @@ def cmd_train(args):
             raise ValueError("--save-weights needs at least one placed module")
         save_weights(args.save_weights, net.modules[0].filters.weights)
     print(f"last-5-epoch mean test accuracy: {report.last5_mean_test_accuracy:.4f}")
-    print(f"padding overhead ratio: {report.overhead_ratio:.2f}x "
-          f"({report.module_seconds:.1f}s padding of {report.total_seconds:.1f}s total)")
     return 0
 
 

@@ -30,12 +30,11 @@ _CONV_PLAN = ((3, 16), (16, 32), (32, 64), (64, 64))
 
 @dataclass
 class NetworkSpec:
-    """What to build: padding family, module placement, and module knobs."""
+    """What to build: padding family, module placement, and the modules' learning rate."""
 
     padding: str = "zero"
     positions: str = "all"
     module_lr: float = 0.01
-    module_init: str = "mean"
 
     def __post_init__(self):
         if self.padding not in PADDINGS:
@@ -96,11 +95,9 @@ def build_tiny4(spec, seed):
     def padding_for(index, channels):
         if index not in placed:
             return ZeroPad(1)
+        module = PaddingModule(channels, pad_size=1, learning_rate=spec.module_lr)
         if spec.padding == "meaninterp":
-            # frozen at the mean filter, whatever init a module run would use
-            return PaddingModule(channels, pad_size=1).freeze()
-        module = PaddingModule(channels, pad_size=1, learning_rate=spec.module_lr,
-                               init=spec.module_init, seed=seed)
+            return module.freeze()
         modules.append(module)
         return module
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data_io import MetricsRow
-from ..padding_module import PaddingModule
 from .layers import softmax_xent
 from .network import build_tiny4
 from .optim import Adam
@@ -23,22 +22,11 @@ from .optim import Adam
 @dataclass
 class TrainReport:
     rows: list
-    total_seconds: float
-    module_seconds: float
-
-    def test_accuracies(self):
-        return [r.accuracy for r in self.rows if r.split == "test"]
 
     @property
     def last5_mean_test_accuracy(self):
-        accs = self.test_accuracies()
+        accs = [r.accuracy for r in self.rows if r.split == "test"]
         return float(np.mean(accs[-5:]))
-
-    @property
-    def overhead_ratio(self):
-        """Wall-clock ratio vs the same run with padding cost removed."""
-        base = self.total_seconds - self.module_seconds
-        return self.total_seconds / base if base > 0 else float("inf")
 
 
 def evaluate(net, x, y, batch_size=64):
@@ -82,7 +70,6 @@ def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
             m.freeze()
 
     rows = []
-    total_start = time.perf_counter()
     for epoch in range(1, epochs + 1):
         net.train()
         epoch_start = time.perf_counter()
@@ -130,9 +117,4 @@ def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
             for m in net.modules:
                 m.freeze()
 
-    total_seconds = time.perf_counter() - total_start
-    # frozen mean-interp pads also cost time, so count every padding module
-    module_seconds = sum(layer.padding.seconds for layer in net.layers
-                         if isinstance(getattr(layer, "padding", None), PaddingModule))
-    return net, TrainReport(rows=rows, total_seconds=total_seconds,
-                            module_seconds=module_seconds)
+    return net, TrainReport(rows=rows)

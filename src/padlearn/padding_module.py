@@ -23,7 +23,6 @@ reference, one 2-D plane at a time.
 from __future__ import annotations
 
 import struct
-import time
 
 import numpy as np
 
@@ -198,8 +197,6 @@ class PaddingModule:
         self.frozen = False
         self.cache = None
         self.last_local_mse = float("nan")
-        self.seconds = 0.0  # cumulative wall time spent padding/updating
-        self._last_output_shape = None
 
     # -- mode control ---------------------------------------------------------
 
@@ -241,7 +238,6 @@ class PaddingModule:
     # -- forward --------------------------------------------------------------
 
     def forward(self, x):
-        start = time.perf_counter()
         self.cache = None  # a forward that raises leaves nothing to update from
         x4, ndim = self._as_batch(x, "forward")
         n, h, w, _ = x4.shape
@@ -268,8 +264,6 @@ class PaddingModule:
             # supervision comes from the original input only, never from
             # already-padded rings; the update reads it as views of x
             self.cache = x4
-            self._last_output_shape = out.shape
-        self.seconds += time.perf_counter() - start
         if ndim == 2:
             return out[0, :, :, 0]
         if ndim == 3:
@@ -299,12 +293,10 @@ class PaddingModule:
         """
         if self.cache is None:
             raise RuntimeError("local_update without a train-mode forward")
-        start = time.perf_counter()
         mse, grad = _pair_stats(self.filters.weights, self.cache)
         self.last_local_mse = float(mse.mean())
         self.filters.step(grad.astype(self.filters.weights.dtype))
         self.cache = None
-        self.seconds += time.perf_counter() - start
 
     def backward(self, g):
         """Strip padded-ring gradients; update filters first in train mode.
@@ -319,10 +311,11 @@ class PaddingModule:
         if self.mode == "train" and not self.frozen:
             if self.cache is None:
                 raise RuntimeError("backward without a train-mode forward")
-            if (g is not None and self._last_output_shape is not None
-                    and g4.shape != self._last_output_shape):
+            n, h, w, c = self.cache.shape
+            padded = (n, h + 2 * self.pad_size, w + 2 * self.pad_size, c)
+            if g is not None and g4.shape != padded:
                 raise ValueError(
-                    f"gradient shape {g4.shape} != padded output shape {self._last_output_shape}"
+                    f"gradient shape {g4.shape} != padded output shape {padded}"
                 )
             self.local_update()
         if g is None:

@@ -94,12 +94,14 @@ def make_synthetic_cifar(data_dir, n_train=6000, n_test=1000, seed=2024):
 def main(argv=None):
     import argparse
 
+    from .cli import _positive_int
+
     parser = argparse.ArgumentParser(
         description="generate a synthetic dataset in CIFAR-10 binary layout"
     )
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--train", type=int, default=6000)
-    parser.add_argument("--test", type=int, default=1000)
+    parser.add_argument("--train", type=_positive_int, default=6000)
+    parser.add_argument("--test", type=_positive_int, default=1000)
     parser.add_argument("--seed", type=int, default=2024)
     args = parser.parse_args(argv)
     make_synthetic_cifar(args.out, args.train, args.test, args.seed)

@@ -160,7 +160,6 @@ class TestTrainCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "last-5-epoch mean test accuracy" in out
-        assert "overhead ratio" in out
         rows = read_metrics_csv(metrics)
         assert len([r for r in rows if r.split == "test"]) == 2
         bank = load_weights(weights)
@@ -213,3 +212,12 @@ class TestSyntheticCommand:
         assert (len(train), len(test)) == (20, 10)
         for name in ("data_batch_1.bin", "test_batch.bin"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("flag,count", [("--train", "-3"), ("--test", "0")])
+    def test_non_positive_count_is_usage_error(self, tmp_path, flag, count):
+        argv = ["--out", str(tmp_path / "d"), "--train", "4", "--test", "2"]
+        argv[argv.index(flag) + 1] = count
+        with pytest.raises(SystemExit) as exc:
+            synthetic_main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "d").exists()

@@ -297,7 +297,7 @@ class TestNetworkAssembly:
         assert net.modules == []
 
     def test_meaninterp_freezes_the_mean_filter_whatever_the_init(self):
-        spec = NetworkSpec(padding="meaninterp", positions="all", module_init="uniform")
+        spec = NetworkSpec(padding="meaninterp", positions="all")
         pads = [l.padding for l in build_tiny4(spec, seed=0).layers
                 if isinstance(l, Conv2D)]
         for pad in pads:

@@ -396,10 +396,24 @@ class TestBackward:
             mod.backward(np.ones((6, 6)))
 
     def test_shape_mismatch(self):
-        mod = module_with(MEAN)
-        mod.forward(np.ones((6, 6)))
-        with pytest.raises(ValueError):
-            mod.backward(np.ones((9, 9)))
+        # the update is refused whole: the filters stay and the cache is
+        # kept, so a correct gradient afterwards still updates
+        rng = np.random.default_rng(4)
+        mod = module_with((0.9, -0.2, 0.1), channels=3, pad_size=2)
+        out = mod.forward(rng.uniform(size=(2, 6, 7, 3)))
+        before = mod.filters.weights.copy()
+        with pytest.raises(ValueError, match=r"padded output shape \(2, 10, 11, 3\)"):
+            mod.backward(rng.uniform(size=(2, 10, 10, 3)))
+        assert np.array_equal(mod.filters.weights, before)
+        assert mod.cache is not None
+        mod.backward(rng.uniform(size=out.shape))
+        assert not np.array_equal(mod.filters.weights, before)
+
+    @pytest.mark.parametrize("shape", [(4, 9), (9, 4)])
+    def test_eval_gradient_too_small_to_strip(self, shape):
+        mod = module_with(MEAN, pad_size=2).eval()
+        with pytest.raises(ValueError, match="too small to strip 2 rings"):
+            mod.backward(np.ones(shape))
 
     def test_eval_drops_the_supervision_cache(self):
         rng = np.random.default_rng(3)

@@ -60,10 +60,10 @@ class TestTrainLoop:
 
     def test_module_mse_non_increasing_after_epoch_2(self, small_dataset):
         # derived from the pinned seeded run: the input-facing module's
-        # epoch-mean MSE falls steadily from a uniform init
+        # epoch-mean MSE falls every epoch from the mean init, if only
+        # slightly (0.0070413 to 0.0070301 over five epochs)
         x, y, xt, yt = small_dataset
-        spec = NetworkSpec(padding="module", positions="first",
-                           module_init="uniform")
+        spec = NetworkSpec(padding="module", positions="first")
         _, report = train(spec, x, y, xt, yt, epochs=5, batch_size=64, seed=0,
                           learning_rate=1e-3)
         mse = [r.module_mse_mean for r in report.rows if r.split == "train"]
@@ -88,8 +88,7 @@ class TestTrainLoop:
 class TestFreeze:
     def test_freeze_after_holds_mse_constant(self, small_dataset):
         x, y, xt, yt = small_dataset
-        spec = NetworkSpec(padding="module", positions="first",
-                           module_init="uniform")
+        spec = NetworkSpec(padding="module", positions="first")
         _, report = train(spec, x, y, xt, yt, epochs=4, batch_size=64, seed=0,
                           learning_rate=1e-3, freeze_after=2)
         mse = [r.module_mse_mean for r in report.rows if r.split == "train"]
