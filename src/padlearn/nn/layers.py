@@ -4,14 +4,14 @@ A layer caches what its backward pass needs during forward in train mode
 only. In eval mode forward computes the output and keeps nothing, and
 switching to eval mode drops any cache a train-mode forward left; a
 backward then raises until the next train-mode forward. Convolution
-is valid cross-correlation after the attached padding strategy has run; its
-input gradient flows back through the same strategy, which for all supported
-paddings passes only the interior gradient upstream.
+is valid cross-correlation after the attached padding strategy has run.
+Its backward computes the input gradient of the unpadded interior only,
+tap by tap, so the gradients of the padded rings are never formed, and it
+calls the strategy's ``backward(None)``.
 
 A padding's ``backward(None)`` means "update only": no gradient is wanted,
 so the strategy runs its train-mode local update, if one is due, and
-returns None. The network's first convolution uses it, since nothing
-consumes the gradient with respect to the network's input.
+returns None.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from ..baselines import pad_zero
 
 
 class ZeroPad:
-    """Static zero padding with the same forward/backward surface as the
-    learnable module: backward keeps only the interior gradient (exact, since
-    the zero rings receive none of the input)."""
+    """Static zero padding with the surface a convolution needs of its
+    padding: ``pad_size``, ``forward`` and an update-only ``backward``."""
 
     def __init__(self, pad_size):
         self.pad_size = int(pad_size)
@@ -37,10 +36,8 @@ class ZeroPad:
         return pad_zero(x, s)
 
     def backward(self, g):
-        s = self.pad_size
-        if g is None or s == 0:
-            return g
-        return g[:, s:-s, s:-s, :]
+        # nothing to learn; the convolution forms the interior gradient
+        return None
 
 
 class Layer:
@@ -86,22 +83,13 @@ def _im2col(xp, k):
     return cols, ho, wo
 
 
-def _col2im(dcols, shape, k, ho, wo):
-    n, hp, wp, c = shape
-    dxp = np.zeros(shape, dtype=dcols.dtype)
-    d6 = dcols.reshape(n, ho, wo, k, k, c)
-    for i in range(k):
-        for j in range(k):
-            dxp[:, i : i + ho, j : j + wo, :] += d6[:, :, :, i, j, :]
-    return dxp
-
-
 class Conv2D(Layer):
     """k x k convolution, stride 1, with an attached padding strategy.
 
-    `padding` is any object with forward/backward (ZeroPad or a
-    PaddingModule); it runs before the valid cross-correlation, and the
-    input gradient is routed back through it.
+    `padding` (ZeroPad or a PaddingModule) exposes ``pad_size``,
+    ``forward`` and ``backward(None)``. It runs before the valid
+    cross-correlation; backward calls ``padding.backward(None)`` for the
+    padding's update and returns the gradient of the unpadded input only.
     """
 
     def __init__(self, in_channels, out_channels, padding, kernel_size=3,
@@ -135,23 +123,35 @@ class Conv2D(Layer):
         return y.reshape(x.shape[0], ho, wo, self.out_channels)
 
     def backward(self, dy, need_dx=True):
-        """Set dw and db; return the input gradient.
+        """Set dw and db, let the padding update, and return the gradient
+        of the unpadded input, or None with ``need_dx=False``.
 
-        With ``need_dx=False`` the input gradient is skipped: the padding
-        still gets its ``backward(None)`` call, so a learnable padding takes
-        its local update, and None is returned.
+        Each tap's product lands straight in the interior, added in
+        row-major tap order to zeros: the same sums, in the same order, as
+        scattering all taps into the padded shape and cutting the rings off.
         """
         cols = self._cached()
         n, ho, wo, _ = dy.shape
         dy_flat = dy.reshape(-1, self.out_channels)
         self.dw = (cols.T @ dy_flat).reshape(self.w.shape)
         self.db = dy_flat.sum(axis=0)
+        self.padding.backward(None)
         if not need_dx:
-            return self.padding.backward(None)
-        dcols = dy_flat @ self.w.reshape(-1, self.out_channels).T
-        xp_shape = (n, ho + self.k - 1, wo + self.k - 1, self.in_channels)
-        dxp = _col2im(dcols, xp_shape, self.k, ho, wo)
-        return self.padding.backward(dxp)
+            return None
+        s, k = self.padding.pad_size, self.k
+        h, w = ho + k - 1 - 2 * s, wo + k - 1 - 2 * s
+        dtype = np.result_type(dy, self.w)
+        dx = np.zeros((n, h, w, self.in_channels), dtype=dtype)
+        tap = np.empty((n * ho * wo, self.in_channels), dtype=dtype)
+        for i in range(k):
+            # output rows whose tap-i input row lies inside the interior
+            y0, y1 = max(0, s - i), min(ho, h + s - i)
+            for j in range(k):
+                x0, x1 = max(0, s - j), min(wo, w + s - j)
+                np.matmul(dy_flat, self.w[i, j].T, out=tap)
+                dx[:, y0 + i - s : y1 + i - s, x0 + j - s : x1 + j - s] += \
+                    tap.reshape(n, ho, wo, -1)[:, y0:y1, x0:x1]
+        return dx
 
     def params(self):
         return [self.w, self.b]
@@ -191,10 +191,15 @@ class MaxPool2x2(Layer):
         bottom = np.maximum(q2, q3)
         if self.training:
             # strict comparisons keep the first of equal maxima, in each
-            # pair and between the pairs
-            self._cache = np.where(bottom > top,
-                                   (q3 > q2).view(np.uint8) + np.uint8(2),
-                                   (q1 > q0).view(np.uint8))
+            # pair and between the pairs: index = a + b * (c + 2 - a)
+            a = (q1 > q0).view(np.uint8)
+            b = (bottom > top).view(np.uint8)
+            c = (q3 > q2).view(np.uint8)
+            c += 2
+            c -= a
+            c *= b
+            a += c
+            self._cache = a
         return np.maximum(top, bottom, out=top)
 
     def backward(self, dy):

@@ -1,7 +1,8 @@
 """Network assembly: the desk-scale 4-conv classifier and padding placement.
 
-Architecture ("tiny4"): conv3x3(16)-pool-conv3x3(32)-pool-conv3x3(64)-
-conv3x3(64)-pool-dense(128)-dense(10) on 32x32x3 inputs. Placement names
+Architecture ("tiny4"): conv3x3(16)-pool-relu-conv3x3(32)-pool-relu-
+conv3x3(64)-relu-conv3x3(64)-pool-relu-dense(128)-relu-dense(10) on
+32x32x3 inputs. Placement names
 select which of the four conv layers get the learnable padding; the rest
 keep zero padding.
 """
@@ -104,9 +105,10 @@ def build_tiny4(spec, seed):
     layers = []
     for i, (cin, cout) in enumerate(_CONV_PLAN):
         layers.append(Conv2D(cin, cout, padding_for(i, cin), kernel_size=3, rng=rng))
-        layers.append(ReLU())
         if i in (0, 1, 3):
+            # max and ReLU commute, so ReLU runs on the pooled quarter
             layers.append(MaxPool2x2())
+        layers.append(ReLU())
     layers.append(Flatten())
     layers.append(Dense(4 * 4 * 64, 128, rng=rng))
     layers.append(ReLU())

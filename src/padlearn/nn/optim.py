@@ -25,11 +25,13 @@ class Adam:
             self._v = [np.zeros_like(p) for p in params]
         self._t += 1
         b1, b2 = BETA1, BETA2
-        for i, (p, g) in enumerate(zip(params, grads)):
+        for i, (p, g, m, v) in enumerate(zip(params, grads, self._m, self._v)):
             if p.shape != g.shape:
                 raise ValueError(f"param {i}: shape {p.shape} vs grad {g.shape}")
-            self._m[i] = b1 * self._m[i] + (1 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1 - b2) * g * g
-            m_hat = self._m[i] / (1 - b1**self._t)
-            v_hat = self._v[i] / (1 - b2**self._t)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**self._t)
+            v_hat = v / (1 - b2**self._t)
             p -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.dtype)

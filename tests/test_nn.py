@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conv_reference import conv_backward as reference_conv_backward
 from padlearn.nn.gradcheck import (layer_gradient_suite, module_gradient_suite,
                                    numeric_grad, rel_err)
 from padlearn.nn.layers import (Conv2D, Dense, Flatten, MaxPool2x2, ReLU,
                                 ZeroPad, softmax_xent)
-from padlearn.nn.network import NetworkSpec, PLACEMENTS, build_tiny4
+from padlearn.nn.network import Network, NetworkSpec, PLACEMENTS, build_tiny4
 from padlearn.nn.optim import Adam
 from padlearn.padding_module import PaddingModule
 
@@ -37,6 +38,68 @@ class TestConv2D:
         conv = Conv2D(3, 4, ZeroPad(1), rng=np.random.default_rng(3))
         with pytest.raises(ValueError):
             conv.forward(np.zeros((1, 6, 6, 2), dtype=np.float32))
+
+
+def _conv_pair(cin, cout, make_padding, kernel_size=3):
+    # two convs with the same weights, each with its own padding
+    return [Conv2D(cin, cout, make_padding(), kernel_size=kernel_size,
+                   rng=np.random.default_rng(5))
+            for _ in range(2)]
+
+
+_PADDINGS = {
+    "zero": lambda c: ZeroPad(1),
+    "frozen_module": lambda c: PaddingModule(c, init="uniform", seed=1).freeze(),
+    "training_module": lambda c: PaddingModule(c, init="uniform", seed=1),
+}
+
+
+class TestConvInputGradientBytes:
+    """The interior input gradient, tap by tap, against the padded path of
+    ``conv_reference``: dx, dw, db and the module's filters, as bytes."""
+
+    def _check(self, cin, cout, x_shape, make_padding, kernel_size=3):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        new, old = _conv_pair(cin, cout, make_padding, kernel_size)
+        y = new.forward(x)
+        assert np.array_equal(old.forward(x), y)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        want_dx, want_dw, want_db = reference_conv_backward(old, dy)
+        dx = new.backward(dy)
+        assert dx.shape == x.shape and dx.dtype == want_dx.dtype
+        assert dx.tobytes() == want_dx.tobytes()
+        assert new.dw.tobytes() == want_dw.tobytes()
+        assert new.db.tobytes() == want_db.tobytes()
+        if isinstance(new.padding, PaddingModule):
+            assert (new.padding.filters.weights.tobytes()
+                    == old.padding.filters.weights.tobytes())
+
+    @pytest.mark.parametrize("padding", sorted(_PADDINGS))
+    @pytest.mark.parametrize("side,cin,cout", [(32, 3, 16), (16, 16, 32),
+                                               (8, 32, 64), (8, 64, 64)])
+    def test_tiny4_conv_shapes(self, side, cin, cout, padding):
+        self._check(cin, cout, (64, side, side, cin),
+                    lambda: _PADDINGS[padding](cin))
+
+    def test_one_by_one_kernel_without_padding(self):
+        self._check(5, 7, (3, 6, 9, 5), lambda: ZeroPad(0), kernel_size=1)
+
+    @pytest.mark.parametrize("padding", ["zero", "training_module"])
+    def test_non_square_input(self, padding):
+        self._check(5, 7, (3, 10, 14, 5), lambda: _PADDINGS[padding](5))
+
+    def test_update_only_skips_the_input_gradient(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 8, 8, 3)).astype(np.float32)
+        new, old = _conv_pair(3, 4, lambda: _PADDINGS["training_module"](3))
+        dy = rng.normal(size=new.forward(x).shape).astype(np.float32)
+        old.forward(x)
+        _, want_dw, _ = reference_conv_backward(old, dy)
+        assert new.backward(dy, need_dx=False) is None
+        assert new.dw.tobytes() == want_dw.tobytes()
+        assert (new.padding.filters.weights.tobytes()
+                == old.padding.filters.weights.tobytes())
 
 
 class TestSimpleLayers:
@@ -95,6 +158,19 @@ class TestSimpleLayers:
             want_g[n, 2 * i + k // 2, 2 * j + k % 2, c] = dy[n, i, j, c]
         assert np.array_equal(y, want_y)
         assert np.array_equal(g, want_g)
+
+    def test_maxpool_index_bytes_match_the_where_formula(self):
+        # integer values in 0..2, so most blocks hold ties of every kind
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 3, size=(4, 8, 10, 5)).astype(np.float32)
+        pool = MaxPool2x2()
+        pool.forward(x)
+        q0, q1, q2, q3 = (x[:, k // 2 :: 2, k % 2 :: 2] for k in range(4))
+        top, bottom = np.maximum(q0, q1), np.maximum(q2, q3)
+        want = np.where(bottom > top, (q3 > q2).view(np.uint8) + np.uint8(2),
+                        (q1 > q0).view(np.uint8))
+        assert pool._cache.dtype == want.dtype == np.uint8
+        assert pool._cache.tobytes() == want.tobytes()
 
     def test_maxpool_odd_dims(self):
         with pytest.raises(ValueError):
@@ -238,6 +314,54 @@ class TestNoInputGradient:
             assert np.array_equal(got, want)
 
 
+def _relu_before_pool(net):
+    """The same layers in the order conv-ReLU-pool wherever a pool follows
+    a conv."""
+    layers = list(net.layers)
+    for i in range(len(layers) - 2):
+        if (isinstance(layers[i], Conv2D) and isinstance(layers[i + 1], MaxPool2x2)
+                and isinstance(layers[i + 2], ReLU)):
+            layers[i + 1], layers[i + 2] = layers[i + 2], layers[i + 1]
+    return Network(layers, net.modules)
+
+
+class TestLayerOrder:
+    """tiny4 pools before its ReLUs; conv-ReLU-pool gives the same bytes."""
+
+    def test_builds_conv_pool_relu(self):
+        net = build_tiny4(NetworkSpec(padding="zero"), seed=0)
+        names = [type(l).__name__ for l in net.layers]
+        assert names == ["Conv2D", "MaxPool2x2", "ReLU", "Conv2D", "MaxPool2x2", "ReLU",
+                         "Conv2D", "ReLU", "Conv2D", "MaxPool2x2", "ReLU",
+                         "Flatten", "Dense", "ReLU", "Dense"]
+
+    @pytest.mark.parametrize("padding", ["zero", "module"])
+    def test_five_steps_match_relu_before_pool(self, padding):
+        spec = NetworkSpec(padding=padding, positions="all")
+        new = build_tiny4(spec, seed=4)
+        old = _relu_before_pool(build_tiny4(spec, seed=4))
+        assert sum(isinstance(l, ReLU) for l in old.layers) == 5
+        opts = [Adam(1e-3), Adam(1e-3)]
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            # whole rows of +0.0 and of -0.0 give tied block maxima at 0
+            x = rng.uniform(-1, 1, size=(8, 32, 32, 3)).astype(np.float32)
+            x[:, :6] = 0.0
+            x[:, 6:12] = -0.0
+            y = rng.integers(0, 10, size=8)
+            logits = []
+            for net, opt in zip((new, old), opts):
+                out = net.forward(x)
+                logits.append(out.tobytes())
+                net.backward(softmax_xent(out, y)[1])
+                opt.step(net.params(), net.grads())
+            assert logits[0] == logits[1]
+            for a, b in zip(new.params() + new.grads(), old.params() + old.grads()):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip(new.modules, old.modules):
+                assert a.filters.weights.tobytes() == b.filters.weights.tobytes()
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         params = [np.ones(3), np.full((2, 2), 5.0)]
@@ -255,6 +379,22 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Adam().step([np.ones(3)], [np.ones(4)])
+
+    def test_in_place_moments_give_the_formula_bytes(self):
+        rng = np.random.default_rng(12)
+        param = rng.normal(size=(4, 5)).astype(np.float32)
+        want = param.copy()
+        m = np.zeros_like(want)
+        v = np.zeros_like(want)
+        opt = Adam(learning_rate=1e-3)
+        for t in range(1, 4):
+            g = rng.normal(size=param.shape).astype(np.float32)
+            opt.step([param], [g])
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            m_hat, v_hat = m / (1 - 0.9**t), v / (1 - 0.999**t)
+            want -= (1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(np.float32)
+            assert param.tobytes() == want.tobytes()
 
 
 class TestGradChecks:
@@ -294,15 +434,10 @@ class TestNetworkAssembly:
         convs = [l for l in net.layers if isinstance(l, Conv2D)]
         assert all(isinstance(c.padding, PaddingModule) and c.padding.frozen
                    for c in convs)
+        for c in convs:
+            weights = c.padding.filters.weights
+            assert np.array_equal(weights, np.full(weights.shape, 1.0, np.float32) / 3)
         assert net.modules == []
-
-    def test_meaninterp_freezes_the_mean_filter_whatever_the_init(self):
-        spec = NetworkSpec(padding="meaninterp", positions="all")
-        pads = [l.padding for l in build_tiny4(spec, seed=0).layers
-                if isinstance(l, Conv2D)]
-        for pad in pads:
-            assert np.array_equal(pad.filters.weights,
-                                  np.full((pad.filters.channels, 3), 1.0, np.float32) / 3)
 
     def test_forward_shapes(self):
         net = build_tiny4(NetworkSpec(padding="module", positions="all"), seed=0)
