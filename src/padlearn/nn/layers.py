@@ -183,7 +183,7 @@ class MaxPool2x2(Layer):
     each block, in row-major block order, as ``argmax`` would."""
 
     def forward(self, x):
-        n, h, w, c = x.shape
+        _, h, w, _ = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"spatial dims must be even, got {h}x{w}")
         q0, q1, q2, q3 = (_quarter(x, k) for k in range(4))

@@ -2,9 +2,8 @@
 
 Architecture ("tiny4"): conv3x3(16)-pool-relu-conv3x3(32)-pool-relu-
 conv3x3(64)-relu-conv3x3(64)-pool-relu-dense(128)-relu-dense(10) on
-32x32x3 inputs. Placement names
-select which of the four conv layers get the learnable padding; the rest
-keep zero padding.
+32x32x3 inputs. Placement names select which of the four conv layers get
+the learnable padding; the rest keep zero padding.
 """
 
 from __future__ import annotations

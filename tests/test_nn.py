@@ -89,18 +89,6 @@ class TestConvInputGradientBytes:
     def test_non_square_input(self, padding):
         self._check(5, 7, (3, 10, 14, 5), lambda: _PADDINGS[padding](5))
 
-    def test_update_only_skips_the_input_gradient(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(4, 8, 8, 3)).astype(np.float32)
-        new, old = _conv_pair(3, 4, lambda: _PADDINGS["training_module"](3))
-        dy = rng.normal(size=new.forward(x).shape).astype(np.float32)
-        old.forward(x)
-        _, want_dw, _ = reference_conv_backward(old, dy)
-        assert new.backward(dy, need_dx=False) is None
-        assert new.dw.tobytes() == want_dw.tobytes()
-        assert (new.padding.filters.weights.tobytes()
-                == old.padding.filters.weights.tobytes())
-
 
 class TestSimpleLayers:
     def test_relu_values(self):
