@@ -422,10 +422,15 @@ class TestNetworkAssembly:
         convs = [l for l in net.layers if isinstance(l, Conv2D)]
         assert all(isinstance(c.padding, PaddingModule) and c.padding.frozen
                    for c in convs)
-        for c in convs:
-            weights = c.padding.filters.weights
-            assert np.array_equal(weights, np.full(weights.shape, 1.0, np.float32) / 3)
         assert net.modules == []
+
+    def test_meaninterp_freezes_the_mean_filter_whatever_the_init(self):
+        spec = NetworkSpec(padding="meaninterp", positions="all")
+        pads = [l.padding for l in build_tiny4(spec, seed=0).layers
+                if isinstance(l, Conv2D)]
+        for pad in pads:
+            assert np.array_equal(pad.filters.weights,
+                                  np.full((pad.filters.channels, 3), 1.0, np.float32) / 3)
 
     def test_forward_shapes(self):
         net = build_tiny4(NetworkSpec(padding="module", positions="all"), seed=0)
