@@ -18,6 +18,27 @@ class LabeledImage:
     label: int
 
 
+@dataclass(frozen=True, eq=False)
+class ImageSet:
+    """Decoded CIFAR records held as two arrays, indexed like a list.
+
+    `x` is (N, 32, 32, 3) float32 in [0, 1] and `y` is (N,) int64. An
+    integer index gives a `LabeledImage` whose pixels are a view of `x`; a
+    slice gives an `ImageSet` of views.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __len__(self):
+        return len(self.y)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ImageSet(self.x[index], self.y[index])
+        return LabeledImage(self.x[index], int(self.y[index]))
+
+
 @dataclass
 class MetricsRow:
     epoch: int
@@ -28,37 +49,68 @@ class MetricsRow:
     seconds: float
 
 
-def load_cifar10_batch(path):
-    """Parse one CIFAR-10 binary batch file into labeled images.
+def _record_count(path):
+    size = os.path.getsize(path)
+    if size == 0 or size % RECORD_BYTES != 0:
+        raise ValueError(
+            f"{path}: size {size} is not a multiple of {RECORD_BYTES}-byte records"
+        )
+    return size // RECORD_BYTES
 
-    Records are 3073 bytes: a label byte then the red, green and blue
-    planes, each row-major 32x32. Pixels come out channel-last, scaled to
-    [0, 1]. Order is preserved.
+
+def _load(paths, limit):
+    """Decode the first `limit` records (all when None) of `paths`, in order.
+
+    Each record is a label byte then the red, green and blue planes, each
+    row-major 32x32. Every file read has all its labels checked; records
+    past the limit are not decoded, and files past it are not read. The
+    kept records are cast from uint8 straight into one (N, 3, 32, 32)
+    float32 array, a file at a time, and scaled to [0, 1] in place.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) == 0 or len(blob) % RECORD_BYTES != 0:
-        raise ValueError(
-            f"{path}: size {len(blob)} is not a multiple of {RECORD_BYTES}-byte records"
-        )
-    raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, RECORD_BYTES)
-    labels = raw[:, 0]
-    if labels.max(initial=0) >= NUM_CLASSES:
-        bad = int(np.argmax(labels >= NUM_CLASSES))
-        raise ValueError(
-            f"{path}: record {bad} has label byte {labels[bad]} (must be 0..9)"
-        )
-    planes = raw[:, 1:].reshape(-1, 3, 32, 32)
-    pixels = planes.transpose(0, 2, 3, 1).astype(np.float32)
-    pixels /= 255.0  # in place, so no second float32 copy of the batch is made
-    return [LabeledImage(pixels[i], int(labels[i])) for i in range(raw.shape[0])]
+    counts = []
+    for path in paths:
+        if limit is not None and sum(counts) >= limit:
+            break
+        counts.append(_record_count(path))
+    total = sum(counts) if limit is None else min(limit, sum(counts))
+    planes = np.empty((total, 3, 32, 32), dtype=np.float32)
+    labels = np.empty(total, dtype=np.int64)
+    start = 0
+    for path, count in zip(paths, counts):
+        with open(path, "rb") as f:
+            blob = f.read()
+        if len(blob) != count * RECORD_BYTES:
+            raise ValueError(f"{path}: file changed size while being read")
+        raw = np.frombuffer(blob, dtype=np.uint8).reshape(count, RECORD_BYTES)
+        if raw[:, 0].max() >= NUM_CLASSES:
+            bad = int(np.argmax(raw[:, 0] >= NUM_CLASSES))
+            raise ValueError(
+                f"{path}: record {bad} has label byte {raw[bad, 0]} (must be 0..9)"
+            )
+        stop = min(start + count, total)
+        planes[start:stop] = raw[: stop - start, 1:].reshape(-1, 3, 32, 32)
+        labels[start:stop] = raw[: stop - start, 0]
+        start = stop
+    planes /= 255.0  # in place, so no second float32 copy is made
+    # channel-last as a view: the memory stays channel-planar, strides
+    # (12288, 128, 4, 4096)
+    return ImageSet(planes.transpose(0, 2, 3, 1), labels)
+
+
+def load_cifar10_batch(path):
+    """Parse one CIFAR-10 binary batch file into an :class:`ImageSet`.
+
+    Pixels come out channel-last, scaled to [0, 1]. Order is preserved.
+    """
+    return _load([path], None)
 
 
 def load_cifar10_dir(data_dir, train_limit=None, test_limit=None):
-    """Load (train, test) image lists from a directory of batch files.
+    """Load (train, test) :class:`ImageSet`s from a directory of batch files.
 
     Training records come from data_batch_*.bin in sorted filename order,
-    test records from test_batch.bin. Limits keep the first N records.
+    filling consecutive slices of one array; test records come from
+    test_batch.bin. Limits keep the first N records.
     """
     train_files = sorted(glob.glob(os.path.join(data_dir, "data_batch_*.bin")))
     test_file = os.path.join(data_dir, "test_batch.bin")
@@ -66,27 +118,13 @@ def load_cifar10_dir(data_dir, train_limit=None, test_limit=None):
         raise FileNotFoundError(
             f"{data_dir}: expected data_batch_*.bin and test_batch.bin"
         )
-    train = []
-    for path in train_files:
-        if train_limit is not None and len(train) >= train_limit:
-            break
-        train.extend(load_cifar10_batch(path))
-    if train_limit is not None:
-        train = train[:train_limit]
-    test = load_cifar10_batch(test_file)
-    if test_limit is not None:
-        test = test[:test_limit]
-    return train, test
+    return _load(train_files, train_limit), _load([test_file], test_limit)
 
 
 def images_to_arrays(images):
-    """Stack labeled images into (x, y) arrays: (N,32,32,3) f32 and (N,) i64."""
-    # labels before images: with the small label array allocated after the
-    # large image stack, repeated loads of 2048 images alternately grew and
-    # trimmed the heap in some process layouts, and peak RSS rose 16 MB
-    y = np.array([im.label for im in images], dtype=np.int64)
-    x = np.stack([im.pixels for im in images]).astype(np.float32, copy=False)
-    return x, y
+    """The (x, y) arrays an :class:`ImageSet` holds, not copies: (N,32,32,3)
+    f32 and (N,) i64. Changing one changes the other."""
+    return images.x, images.y
 
 
 def write_ppm(t, path):

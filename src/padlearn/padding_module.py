@@ -335,14 +335,22 @@ class PaddingModule:
 
 
 def save_weights(path, weights):
-    """Write a filter bank: magic, u32-LE channel count, 3 f32-LE per channel."""
+    """Write a filter bank: magic, u32-LE channel count, 3 f32-LE per channel.
+
+    Non-finite weights, including values that overflow float32, raise
+    ValueError before the file is opened.
+    """
     weights = np.asarray(weights)
     if weights.ndim != 2 or weights.shape[1] != 3:
         raise ValueError(f"expected (channels, 3) weights, got {weights.shape}")
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        payload = weights.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: refusing to write non-finite weights")
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC)
         f.write(struct.pack("<I", weights.shape[0]))
-        f.write(weights.astype("<f4").tobytes())
+        f.write(payload.tobytes())
 
 
 def load_weights(path):

@@ -31,13 +31,6 @@ def cifar_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def desk_dataset(cifar_dir):
-    """(x_train, y_train, x_test, y_test) at the full desk scale."""
-    train, test = load_cifar10_dir(cifar_dir, train_limit=5000, test_limit=1000)
-    return images_to_arrays(train) + images_to_arrays(test)
-
-
-@pytest.fixture(scope="session")
 def batch64(cifar_dir):
     """A fixed batch of 64 training images, (64, 32, 32, 3) float32."""
     train, _ = load_cifar10_dir(cifar_dir, train_limit=64, test_limit=1)

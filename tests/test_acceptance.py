@@ -4,7 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s`. The placement ablation
 (criterion 8) is opt-in: set PADLEARN_ABLATION=1.
 """
 
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,15 +145,33 @@ def test_criterion_06_mse_collapse(batch64):
            f"({final / initial:.3f}x) after 2 epochs")
 
 
+def desk_arrays(cifar_dir):
+    """(x_train, y_train, x_test, y_test) at the full desk scale."""
+    train_imgs, test_imgs = load_cifar10_dir(cifar_dir, train_limit=5000,
+                                             test_limit=1000)
+    return images_to_arrays(train_imgs) + images_to_arrays(test_imgs)
+
+
+def desk_accuracy(padding, cifar_dir):
+    """Last-5-epoch mean test accuracy of a seeded 10-epoch desk-scale run."""
+    x, y, xt, yt = desk_arrays(cifar_dir)
+    _, rep = train(NetworkSpec(padding=padding, positions="all"), x, y, xt, yt,
+                   epochs=10, batch_size=64, seed=0, learning_rate=1e-3)
+    return rep.last5_mean_test_accuracy
+
+
 @pytest.mark.slow
-def test_criterion_07_classification_non_inferiority(desk_dataset):
-    x, y, xt, yt = desk_dataset
-    accs = {}
-    for padding in ("zero", "module"):
-        spec = NetworkSpec(padding=padding, positions="all")
-        _, rep = train(spec, x, y, xt, yt, epochs=10, batch_size=64, seed=0,
-                       learning_rate=1e-3)
-        accs[padding] = rep.last5_mean_test_accuracy
+def test_criterion_07_classification_non_inferiority(cifar_dir):
+    # the two trainings run side by side in fresh processes, each loading
+    # the data itself and pinned to one BLAS thread, so each is
+    # bit-identical to a sequential one-thread run whatever the host's
+    # default thread count
+    paddings = ("zero", "module")
+    one_thread = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
+            len(paddings), mp_context=multiprocessing.get_context("spawn")) as pool:
+        accs = dict(zip(paddings, pool.map(desk_accuracy, paddings,
+                                           [cifar_dir] * len(paddings))))
     margin = (accs["module"] - accs["zero"]) * 100
     report(7, "classification non-inferiority", margin >= -1.0,
            f"module {accs['module']:.4f} vs zero {accs['zero']:.4f}, "
@@ -160,8 +181,8 @@ def test_criterion_07_classification_non_inferiority(desk_dataset):
 @pytest.mark.ablation
 @pytest.mark.skipif(not os.environ.get("PADLEARN_ABLATION"),
                     reason="placement ablation is opt-in: set PADLEARN_ABLATION=1")
-def test_criterion_08_placement_ablation(desk_dataset, tmp_path):
-    x, y, xt, yt = desk_dataset
+def test_criterion_08_placement_ablation(cifar_dir, tmp_path):
+    x, y, xt, yt = desk_arrays(cifar_dir)
     scenarios = [("zero", "all"), ("module", "first"), ("module", "middle"),
                  ("module", "last"), ("module", "comb"), ("module", "all")]
     summary = []

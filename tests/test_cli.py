@@ -88,8 +88,10 @@ class TestPadCommand:
         assert code == 1
 
     def test_non_finite_weights_are_contract_error(self, image_ppm, tmp_path, capsys):
+        # written by hand: save_weights refuses non-finite weights
         bank = tmp_path / "nan.padmod"
-        save_weights(bank, np.full((3, 3), np.nan, dtype=np.float32))
+        bank.write_bytes(b"PADMOD1\n" + (3).to_bytes(4, "little")
+                         + np.full((3, 3), np.nan, dtype="<f4").tobytes())
         out = tmp_path / "o.ppm"
         code = main(["pad", "--input", str(image_ppm), "--method", "module",
                      "--size", "1", "--weights", str(bank), "--output", str(out)])

@@ -87,6 +87,68 @@ class TestCifarLoader:
         assert list(y) == [i % 10 for i in range(256)]
 
 
+def _patterned(first, count):
+    """Records first..first+count-1; record i holds byte (7i + k) % 256 at
+    pixel offset k and label i % 10, so every record differs."""
+    return [bytes([i % 10]) + bytes((7 * i + k) % 256 for k in range(3072))
+            for i in range(first, first + count)]
+
+
+def _decoded(records):
+    """Independent decode: (N, 32, 32, 3) float32 byte / 255 and labels."""
+    pixels = [np.frombuffer(r[1:], dtype=np.uint8).reshape(3, 32, 32)
+              .transpose(1, 2, 0).astype(np.float32) / np.float32(255)
+              for r in records]
+    return np.array(pixels, dtype=np.float32), [r[0] for r in records]
+
+
+class TestTwoBatchFiles:
+    """A directory of two data_batch files: 5 records, then 4."""
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        train = _patterned(0, 9)
+        test = _patterned(100, 3)
+        (tmp_path / "data_batch_1.bin").write_bytes(b"".join(train[:5]))
+        (tmp_path / "data_batch_2.bin").write_bytes(b"".join(train[5:]))
+        (tmp_path / "test_batch.bin").write_bytes(b"".join(test))
+        return train, test
+
+    @pytest.mark.parametrize("limit", [None, 3, 7])
+    def test_arrays_match_the_record_bytes(self, tmp_path, records, limit):
+        train, test = records
+        kept = train if limit is None else train[:limit]
+        for images, want in zip(load_cifar10_dir(tmp_path, train_limit=limit),
+                                (kept, test)):
+            x, y = images_to_arrays(images)
+            want_x, want_y = _decoded(want)
+            assert len(images) == len(want)
+            assert x.dtype == np.float32 and y.dtype == np.int64
+            assert x.shape == (len(want), 32, 32, 3)
+            # channel-planar memory, as the per-image stack used to give
+            assert x.strides == (12288, 128, 4, 4096)
+            assert x.tobytes() == want_x.tobytes()
+            assert list(y) == want_y
+            for i in range(len(images)):
+                assert np.shares_memory(images[i].pixels, x)
+                assert images[i].label == want_y[i]
+
+    def test_a_slice_is_an_image_set_of_views(self, tmp_path, records):
+        train, _ = load_cifar10_dir(tmp_path)
+        part = train[2:6]
+        assert len(part) == 4
+        assert part.x.tobytes() == train.x[2:6].tobytes()
+        assert np.shares_memory(part.x, train.x)
+        assert list(part.y) == [2, 3, 4, 5]
+
+    def test_arrays_are_not_copies(self, tmp_path, records):
+        train, _ = load_cifar10_dir(tmp_path)
+        x, y = images_to_arrays(train)
+        assert x is train.x and y is train.y
+        x[0, 0, 0, 0] = 2.0
+        assert train[0].pixels[0, 0, 0] == 2.0
+
+
 class TestPpm:
     def test_one_pixel_white(self, tmp_path):
         path = tmp_path / "w.ppm"

@@ -508,12 +508,23 @@ class TestWeightsFile:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_weights(self, tmp_path, value):
+        # written by hand: save_weights refuses non-finite weights
         path = tmp_path / "bank.padmod"
-        weights = np.ones((2, 3), dtype=np.float32)
+        weights = np.ones((2, 3), dtype="<f4")
         weights[1, 2] = value
-        save_weights(path, weights)
+        path.write_bytes(b"PADMOD1\n" + (2).to_bytes(4, "little") + weights.tobytes())
         with pytest.raises(ValueError, match="non-finite"):
             load_weights(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+    def test_save_refuses_non_finite_weights(self, tmp_path, value):
+        # 1e39 is finite in float64 but overflows the file's float32
+        path = tmp_path / "bank.padmod"
+        weights = np.ones((2, 3))
+        weights[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            save_weights(path, weights)
+        assert not path.exists()
 
     @pytest.mark.parametrize("size", [8, 9, 11])
     def test_shorter_than_header(self, tmp_path, size):
