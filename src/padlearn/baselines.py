@@ -59,7 +59,7 @@ def pad_reflect(m, size):
     return np.pad(m, _spatial_pad_width(m, size), mode="reflect")
 
 
-def pad_mean_interp(m, size, dtype=np.float32):
+def pad_mean_interp(m, size):
     """Extrapolate borders with a sliding local mean, ring by ring.
 
     Runs the learnable padding pipeline with its filters fixed at the
@@ -69,4 +69,4 @@ def pad_mean_interp(m, size, dtype=np.float32):
     m = np.asarray(m)
     _check_size(size)
     channels = 1 if m.ndim == 2 else m.shape[-1]
-    return PaddingModule(channels, pad_size=size, dtype=dtype).freeze().forward(m)
+    return PaddingModule(channels, pad_size=size).freeze().forward(m)

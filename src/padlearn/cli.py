@@ -20,11 +20,22 @@ from .nn.network import PADDINGS, PLACEMENTS, NetworkSpec
 from .nn.train import train
 from .padding_module import PaddingModule, load_weights, save_weights
 
+# the methods `pad` runs without a weights file
+PAD_METHODS = {"zero": pad_zero, "reflect": pad_reflect,
+               "replicate": pad_replicate, "meaninterp": pad_mean_interp}
+
 
 def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text):
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -42,7 +53,7 @@ def build_parser():
     p_pad = sub.add_parser("pad", help="pad a PPM image with a chosen method")
     p_pad.add_argument("--input", required=True)
     p_pad.add_argument("--method", required=True,
-                       choices=["zero", "reflect", "replicate", "meaninterp", "module"])
+                       choices=[*PAD_METHODS, "module"])
     p_pad.add_argument("--size", required=True, type=_positive_int)
     p_pad.add_argument("--weights", default=None,
                        help="filter weights file (required for --method module)")
@@ -55,8 +66,8 @@ def build_parser():
     p_train.add_argument("--epochs", type=_positive_int, default=10)
     p_train.add_argument("--batch", type=_positive_int, default=64)
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--module-lr", type=float, default=0.01)
+    p_train.add_argument("--lr", type=_positive_float, default=1e-3)
+    p_train.add_argument("--module-lr", type=_positive_float, default=0.01)
     p_train.add_argument("--freeze-after", type=_non_negative_int, default=None,
                          help="stop the padding modules' own training after this epoch")
     p_train.add_argument("--train-limit", type=_positive_int, default=5000)
@@ -67,7 +78,7 @@ def build_parser():
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     p_grad.add_argument("--trials", type=_positive_int, default=100)
-    p_grad.add_argument("--tol", type=float, default=1e-6)
+    p_grad.add_argument("--tol", type=_positive_float, default=1e-6)
     p_grad.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("version", help="print the package version")
@@ -87,14 +98,8 @@ def cmd_pad(args):
         module = PaddingModule(weights.shape[0], pad_size=args.size).freeze()
         module.filters.weights = weights
         padded = module.forward(image)
-    elif args.method == "zero":
-        padded = pad_zero(image, args.size)
-    elif args.method == "reflect":
-        padded = pad_reflect(image, args.size)
-    elif args.method == "replicate":
-        padded = pad_replicate(image, args.size)
     else:
-        padded = pad_mean_interp(image, args.size)
+        padded = PAD_METHODS[args.method](image, args.size)
     write_ppm(np.clip(padded, 0.0, 1.0), args.output)
     h, w, c = padded.shape
     print(f"{args.output}: {h}x{w}x{c}")
@@ -102,6 +107,8 @@ def cmd_pad(args):
 
 
 def cmd_train(args):
+    if args.save_weights is not None and args.padding != "module":
+        raise ValueError("--save-weights needs at least one placed module")
     train_images, test_images = load_cifar10_dir(
         args.data, train_limit=args.train_limit, test_limit=args.test_limit
     )
@@ -115,8 +122,6 @@ def cmd_train(args):
                         freeze_after=args.freeze_after, log=print)
     write_metrics_csv(report.rows, args.metrics)
     if args.save_weights is not None:
-        if not net.modules:
-            raise ValueError("--save-weights needs at least one placed module")
         save_weights(args.save_weights, net.modules[0].filters.weights)
     print(f"last-5-epoch mean test accuracy: {report.last5_mean_test_accuracy:.4f}")
     return 0

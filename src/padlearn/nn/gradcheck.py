@@ -16,7 +16,7 @@ import numpy as np
 from ..padding_module import _pair_stats
 from .layers import Conv2D, Dense, Flatten, MaxPool2x2, ReLU, ZeroPad, softmax_xent
 
-DEFAULT_STEP = 1e-4
+STEP = 1e-4
 
 
 @dataclass
@@ -55,23 +55,23 @@ def rel_err(analytic, numeric):
     return float((np.abs(a - n) / denom).max()) if a.size else 0.0
 
 
-def numeric_grad(fn, arr, step=DEFAULT_STEP):
+def numeric_grad(fn, arr):
     """Central-difference gradient of scalar `fn()` w.r.t. `arr` (in place)."""
     grad = np.zeros(arr.shape, dtype=np.float64)
     flat = arr.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         up = fn()
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         down = fn()
         flat[i] = orig
-        gflat[i] = (up - down) / (2.0 * step)
+        gflat[i] = (up - down) / (2.0 * STEP)
     return grad
 
 
-def finite_diff_check(fn, checks, step=DEFAULT_STEP):
+def finite_diff_check(fn, checks):
     """Compare analytic gradients against central differences of `fn`.
 
     `checks` is a list of (name, array, analytic_gradient); arrays are
@@ -79,12 +79,12 @@ def finite_diff_check(fn, checks, step=DEFAULT_STEP):
     """
     cases = []
     for name, arr, analytic in checks:
-        numeric = numeric_grad(fn, arr, step)
+        numeric = numeric_grad(fn, arr)
         cases.append(GradCheckCase(name, rel_err(analytic, numeric)))
     return GradCheckReport(cases)
 
 
-def module_gradient_suite(trials=100, seed=0, step=DEFAULT_STEP):
+def module_gradient_suite(trials=100, seed=0):
     """Filter-loss gradients of the padding kernel on random single-channel
     inputs and filters, double precision."""
     rng = np.random.default_rng(seed)
@@ -95,7 +95,7 @@ def module_gradient_suite(trials=100, seed=0, step=DEFAULT_STEP):
         x = rng.uniform(0.0, 1.0, size=(h, w))[None, :, :, None]
         weights = rng.uniform(-1.0, 1.0, size=(1, 3))
         analytic = _pair_stats(weights, x)[1][0]
-        numeric = numeric_grad(lambda: _pair_stats(weights, x)[0][0], weights, step)
+        numeric = numeric_grad(lambda: _pair_stats(weights, x)[0][0], weights)
         cases.append(GradCheckCase(f"filter_loss[{trial}] {h}x{w}",
                                    rel_err(analytic, numeric)))
     return GradCheckReport(cases)
@@ -105,71 +105,53 @@ def _fresh_sample(rng, shape, scale=1.0):
     return (rng.uniform(-1.0, 1.0, size=shape) * scale).astype(np.float64)
 
 
-def layer_gradient_suite(seed=0, step=DEFAULT_STEP):
+def layer_gradient_suite(seed=0):
     """Conv, dense, pooling, softmax loss and an end-to-end network check."""
     rng = np.random.default_rng(seed)
     cases = []
 
-    # conv (zero padding attached): dW, db, dx from a random linear readout
-    conv = Conv2D(2, 3, ZeroPad(1), kernel_size=3, rng=rng, dtype=np.float64)
-    x = _fresh_sample(rng, (2, 6, 6, 2))
-    readout = _fresh_sample(rng, (2, 6, 6, 3))
-    fn = lambda: float(np.sum(conv.forward(x) * readout))
-    fn()
-    dx = conv.backward(readout)
-    cases += finite_diff_check(fn, [("conv.w", conv.w, conv.dw),
-                                    ("conv.b", conv.b, conv.db),
-                                    ("conv.x", x, dx)], step).cases
+    def probe(name, layer, x, readout):
+        # the layer's parameters, then its input, under a linear readout
+        fn = lambda: float(np.sum(layer.forward(x) * readout))
+        fn()
+        dx = layer.backward(readout)
+        checks = [(f"{name}.{p}", param, grad)
+                  for p, param, grad in zip("wb", layer.params(), layer.grads())]
+        cases.extend(finite_diff_check(fn, checks + [(f"{name}.x", x, dx)]).cases)
 
-    # dense
-    dense = Dense(7, 5, rng=rng, dtype=np.float64)
-    xd = _fresh_sample(rng, (4, 7))
-    rd = _fresh_sample(rng, (4, 5))
-    fn = lambda: float(np.sum(dense.forward(xd) * rd))
-    fn()
-    dxd = dense.backward(rd)
-    cases += finite_diff_check(fn, [("dense.w", dense.w, dense.dw),
-                                    ("dense.b", dense.b, dense.db),
-                                    ("dense.x", xd, dxd)], step).cases
+    # conv with zero padding attached
+    probe("conv", Conv2D(2, 3, ZeroPad(1), rng=rng, dtype=np.float64),
+          _fresh_sample(rng, (2, 6, 6, 2)), _fresh_sample(rng, (2, 6, 6, 3)))
+    probe("dense", Dense(7, 5, rng=rng, dtype=np.float64),
+          _fresh_sample(rng, (4, 7)), _fresh_sample(rng, (4, 5)))
 
     # maxpool: resample until every 2x2 block is comfortably tie-free
-    pool = MaxPool2x2()
     for attempt in range(50):
         xp = _fresh_sample(rng, (2, 4, 4, 3))
         blocks = xp.reshape(2, 2, 2, 2, 2, 3).transpose(0, 1, 3, 5, 2, 4).reshape(-1, 4)
         top2 = np.sort(blocks, axis=1)[:, -2:]
-        if (top2[:, 1] - top2[:, 0]).min() > 100 * step:
+        if (top2[:, 1] - top2[:, 0]).min() > 100 * STEP:
             break
-    rp = _fresh_sample(rng, (2, 2, 2, 3))
-    fn = lambda: float(np.sum(pool.forward(xp) * rp))
-    fn()
-    dxp = pool.backward(rp)
-    cases += finite_diff_check(fn, [("maxpool.x", xp, dxp)], step).cases
+    probe("maxpool", MaxPool2x2(), xp, _fresh_sample(rng, (2, 2, 2, 3)))
 
     # relu away from the kink
-    relu = ReLU()
     for attempt in range(50):
         xr = _fresh_sample(rng, (3, 9))
-        if np.abs(xr).min() > 100 * step:
+        if np.abs(xr).min() > 100 * STEP:
             break
-    rr = _fresh_sample(rng, (3, 9))
-    fn = lambda: float(np.sum(relu.forward(xr) * rr))
-    fn()
-    dxr = relu.backward(rr)
-    cases += finite_diff_check(fn, [("relu.x", xr, dxr)], step).cases
+    probe("relu", ReLU(), xr, _fresh_sample(rng, (3, 9)))
 
     # softmax cross-entropy
     logits = _fresh_sample(rng, (5, 10), scale=2.0)
     labels = rng.integers(0, 10, size=5)
     fn = lambda: softmax_xent(logits, labels)[0]
     _, dlogits = softmax_xent(logits, labels)
-    cases += finite_diff_check(fn, [("softmax_xent.logits", logits, dlogits)],
-                               step).cases
+    cases += finite_diff_check(fn, [("softmax_xent.logits", logits, dlogits)]).cases
 
     # end-to-end: conv-relu-pool-flatten-dense with cross-entropy loss
     for attempt in range(50):
         net_rng = np.random.default_rng(seed + 1000 + attempt)
-        conv2 = Conv2D(2, 4, ZeroPad(1), kernel_size=3, rng=net_rng, dtype=np.float64)
+        conv2 = Conv2D(2, 4, ZeroPad(1), rng=net_rng, dtype=np.float64)
         dense2 = Dense(4 * 4 * 4, 10, rng=net_rng, dtype=np.float64)
         layers = [conv2, ReLU(), MaxPool2x2(), Flatten(), dense2]
         xe = np.abs(_fresh_sample(net_rng, (2, 8, 8, 2)))
@@ -182,22 +164,21 @@ def layer_gradient_suite(seed=0, step=DEFAULT_STEP):
             return h
 
         preact = conv2.forward(xe)
-        if np.abs(preact).min() > 100 * step:
+        if np.abs(preact).min() > 100 * STEP:
             break
     fn = lambda: softmax_xent(fwd(), ye)[0]
-    _, dl = softmax_xent(fwd(), ye)
-    dy = dl
+    _, dy = softmax_xent(fwd(), ye)
     for layer in reversed(layers):
         dy = layer.backward(dy)
     cases += finite_diff_check(fn, [("net.conv.w", conv2.w, conv2.dw),
                                     ("net.conv.b", conv2.b, conv2.db),
                                     ("net.dense.w", dense2.w, dense2.dw),
                                     ("net.dense.b", dense2.b, dense2.db),
-                                    ("net.x", xe, dy)], step).cases
+                                    ("net.x", xe, dy)]).cases
 
     return GradCheckReport(cases)
 
 
-def full_suite(trials=100, seed=0, step=DEFAULT_STEP):
-    report = module_gradient_suite(trials=trials, seed=seed, step=step)
-    return GradCheckReport(report.cases + layer_gradient_suite(seed, step).cases)
+def full_suite(trials=100, seed=0):
+    report = module_gradient_suite(trials=trials, seed=seed)
+    return GradCheckReport(report.cases + layer_gradient_suite(seed).cases)

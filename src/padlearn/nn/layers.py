@@ -30,10 +30,7 @@ class ZeroPad:
         self.pad_size = int(pad_size)
 
     def forward(self, x):
-        s = self.pad_size
-        if s == 0:
-            return x
-        return pad_zero(x, s)
+        return pad_zero(x, self.pad_size)
 
     def backward(self, g):
         # nothing to learn; the convolution forms the interior gradient
@@ -84,7 +81,7 @@ def _im2col(xp, k):
 
 
 class Conv2D(Layer):
-    """k x k convolution, stride 1, with an attached padding strategy.
+    """3x3 convolution, stride 1, with an attached padding strategy.
 
     `padding` (ZeroPad or a PaddingModule) exposes ``pad_size``,
     ``forward`` and ``backward(None)``. It runs before the valid
@@ -92,18 +89,14 @@ class Conv2D(Layer):
     padding's update and returns the gradient of the unpadded input only.
     """
 
-    def __init__(self, in_channels, out_channels, padding, kernel_size=3,
-                 rng=None, dtype=np.float32):
-        if kernel_size % 2 != 1:
-            raise ValueError(f"kernel size must be odd, got {kernel_size}")
+    k = 3
+
+    def __init__(self, in_channels, out_channels, padding, rng, dtype=np.float32):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.k = kernel_size
         self.padding = padding
-        rng = rng or np.random.default_rng()
-        fan_in = kernel_size * kernel_size * in_channels
-        self.w = (rng.normal(0.0, 1.0, size=(kernel_size, kernel_size,
-                                             in_channels, out_channels))
+        fan_in = self.k * self.k * in_channels
+        self.w = (rng.normal(0.0, 1.0, size=(self.k, self.k, in_channels, out_channels))
                   * np.sqrt(2.0 / fan_in)).astype(dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
         self.dw = None
@@ -158,9 +151,6 @@ class Conv2D(Layer):
 
     def grads(self):
         return [self.dw, self.db]
-
-    def set_params(self, values):
-        self.w, self.b = values
 
 
 class ReLU(Layer):
@@ -222,8 +212,7 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
-        rng = rng or np.random.default_rng()
+    def __init__(self, in_features, out_features, rng, dtype=np.float32):
         self.w = (rng.normal(0.0, 1.0, size=(in_features, out_features))
                   * np.sqrt(2.0 / in_features)).astype(dtype)
         self.b = np.zeros(out_features, dtype=dtype)
@@ -245,9 +234,6 @@ class Dense(Layer):
 
     def grads(self):
         return [self.dw, self.db]
-
-    def set_params(self, values):
-        self.w, self.b = values
 
 
 def softmax_xent(logits, labels):

@@ -103,7 +103,7 @@ def build_tiny4(spec, seed):
 
     layers = []
     for i, (cin, cout) in enumerate(_CONV_PLAN):
-        layers.append(Conv2D(cin, cout, padding_for(i, cin), kernel_size=3, rng=rng))
+        layers.append(Conv2D(cin, cout, padding_for(i, cin), rng=rng))
         if i in (0, 1, 3):
             # max and ReLU commute, so ReLU runs on the pooled quarter
             layers.append(MaxPool2x2())

@@ -32,23 +32,21 @@ WEIGHTS_MAGIC = b"PADMOD1\n"
 class FilterBank:
     """Per-channel 1x3 filter weights and their local SGD step.
 
-    ``weights`` has shape (channels, 3). ``step`` applies one update given a
-    same-shaped gradient array.
+    ``weights`` has shape (channels, 3) and starts as float32. ``step``
+    applies one update given a same-shaped gradient array.
     """
 
-    def __init__(self, channels, learning_rate=0.01, init="mean", seed=None,
-                 dtype=np.float32):
+    def __init__(self, channels, learning_rate=0.01, init="mean", seed=None):
         if channels < 1:
             raise ValueError(f"need at least one channel, got {channels}")
         self.channels = int(channels)
         self.learning_rate = float(learning_rate)
-        self.dtype = np.dtype(dtype)
         if init == "mean":
             # start as a local-mean extrapolator
-            self.weights = np.full((channels, 3), 1.0, dtype=self.dtype) / 3
+            self.weights = np.full((channels, 3), 1.0, dtype=np.float32) / 3
         elif init == "uniform":
             rng = np.random.default_rng(seed)
-            self.weights = rng.uniform(-0.1, 0.1, size=(channels, 3)).astype(self.dtype)
+            self.weights = rng.uniform(-0.1, 0.1, size=(channels, 3)).astype(np.float32)
         else:
             raise ValueError(f"unknown init {init!r}")
 
@@ -187,11 +185,11 @@ class PaddingModule:
     """
 
     def __init__(self, channels, pad_size=1, learning_rate=0.01, init="mean",
-                 seed=None, dtype=np.float32):
+                 seed=None):
         if pad_size < 1:
             raise ValueError(f"pad_size must be >= 1, got {pad_size}")
         self.filters = FilterBank(channels, learning_rate=learning_rate,
-                                  init=init, seed=seed, dtype=dtype)
+                                  init=init, seed=seed)
         self.pad_size = int(pad_size)
         self.mode = "train"
         self.frozen = False
@@ -235,6 +233,13 @@ class PaddingModule:
             )
         return x4, x.ndim
 
+    @staticmethod
+    def _as_rank(x4, ndim):
+        """Drop the axes ``_as_batch`` added to an input of rank ``ndim``."""
+        if ndim == 2:
+            return x4[0, :, :, 0]
+        return x4[0] if ndim == 3 else x4
+
     # -- forward --------------------------------------------------------------
 
     def forward(self, x):
@@ -264,11 +269,7 @@ class PaddingModule:
             # supervision comes from the original input only, never from
             # already-padded rings; the update reads it as views of x
             self.cache = x4
-        if ndim == 2:
-            return out[0, :, :, 0]
-        if ndim == 3:
-            return out[0]
-        return out
+        return self._as_rank(out, ndim)
 
     # -- local training -------------------------------------------------------
 
@@ -326,12 +327,7 @@ class PaddingModule:
             raise ValueError(
                 f"gradient spatial shape {h}x{w} too small to strip {s} rings"
             )
-        out = g4[:, s : h - s, s : w - s, :].copy()
-        if ndim == 2:
-            return out[0, :, :, 0]
-        if ndim == 3:
-            return out[0]
-        return out
+        return self._as_rank(g4[:, s : h - s, s : w - s, :].copy(), ndim)
 
 
 def save_weights(path, weights):

@@ -33,7 +33,7 @@ def report(num, name, ok, detail=""):
 
 
 def make_module(weights, channels=1, pad_size=1, **kwargs):
-    mod = PaddingModule(channels, pad_size=pad_size, dtype=np.float64, **kwargs)
+    mod = PaddingModule(channels, pad_size=pad_size, **kwargs)
     mod.filters.weights = np.tile(np.asarray(weights, dtype=np.float64),
                                   (channels, 1))
     return mod
@@ -59,7 +59,7 @@ def test_criterion_01_construction_oracle():
 
 
 def test_criterion_02_gradient_suite():
-    suite = module_gradient_suite(trials=100, seed=0, step=1e-4)
+    suite = module_gradient_suite(trials=100, seed=0)
     report(2, "gradient suite", suite.max_rel_err <= 1e-6,
            f"100 instances, max rel err {suite.max_rel_err:.3e} <= 1e-6")
 

@@ -67,11 +67,14 @@ class TestPadReflect:
 
 class TestPadMeanInterp:
     def test_constant_3x3_values(self):
-        out = pad_mean_interp(np.full((3, 3), 5.0), 1, dtype=np.float64)
-        th = np.float64(1.0) / 3
+        out = pad_mean_interp(np.full((3, 3), 5.0), 1)
+        # the mean filter is float32; a float64 input pads in float64
+        th = np.float64(np.float32(1.0) / 3)
         end = th * 0.0 + th * 5.0 + th * 5.0
+        mid = th * 5.0 + th * 5.0 + th * 5.0
         expected = np.full((5, 5), 5.0)
         for line in (expected[0], expected[-1], expected[:, 0], expected[:, -1]):
+            line[:] = mid
             line[0] = end
             line[-1] = end
         assert np.array_equal(out, expected)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,18 +191,42 @@ class TestTrainCommand:
                 side = 32 + 2 * size
                 assert read_ppm(out).shape == (side, side, 3)
 
-    def test_save_weights_needs_a_module(self, tiny_data, tmp_path):
-        code = main(["train", "--data", str(tiny_data), "--padding", "zero",
-                     "--epochs", "1", "--train-limit", "64",
-                     "--test-limit", "16",
-                     "--metrics", str(tmp_path / "m.csv"),
-                     "--save-weights", str(tmp_path / "w.padmod")])
-        assert code == 1
+    def test_save_weights_needs_a_module(self, tiny_data, tmp_path, capsys):
+        # refused before any data is loaded: no training, no metrics file
+        for padding in ("zero", "meaninterp"):
+            metrics = tmp_path / f"{padding}.csv"
+            with mock.patch("padlearn.cli.load_cifar10_dir",
+                            side_effect=AssertionError("data loaded")):
+                code = main(["train", "--data", str(tiny_data), "--padding", padding,
+                             "--epochs", "1", "--train-limit", "64",
+                             "--test-limit", "16", "--metrics", str(metrics),
+                             "--save-weights", str(tmp_path / "w.padmod")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "--save-weights needs at least one placed module" in err
+            assert not metrics.exists()
+            assert not (tmp_path / "w.padmod").exists()
 
     def test_unknown_flag_rejected(self, tiny_data):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", str(tiny_data), "--turbo"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr", "nan"], ["train", "--lr", "-1"], ["train", "--lr", "0"],
+    ["train", "--module-lr", "inf"], ["train", "--module-lr", "-0.01"],
+    ["gradcheck", "--tol", "nan"], ["gradcheck", "--tol", "0"],
+    ["gradcheck", "--tol", "x"],
+], ids=lambda argv: f"{argv[1][2:]}={argv[2]}")
+def test_rates_and_tolerance_must_be_positive(tmp_path, argv, capsys):
+    if argv[0] == "train":
+        argv = argv + ["--data", str(tmp_path), "--metrics", str(tmp_path / "m.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 class TestSyntheticCommand:

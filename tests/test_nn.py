@@ -12,14 +12,6 @@ from padlearn.padding_module import PaddingModule
 
 
 class TestConv2D:
-    def test_one_by_one_kernel_is_pointwise(self):
-        rng = np.random.default_rng(0)
-        conv = Conv2D(2, 3, ZeroPad(0), kernel_size=1, rng=rng, dtype=np.float64)
-        x = rng.uniform(size=(2, 4, 5, 2))
-        y = conv.forward(x)
-        expected = np.einsum("nhwc,co->nhwo", x, conv.w[0, 0]) + conv.b
-        np.testing.assert_allclose(y, expected, rtol=1e-12)
-
     def test_zero_kernel_gives_bias(self):
         rng = np.random.default_rng(1)
         conv = Conv2D(3, 4, ZeroPad(1), rng=rng, dtype=np.float64)
@@ -40,10 +32,9 @@ class TestConv2D:
             conv.forward(np.zeros((1, 6, 6, 2), dtype=np.float32))
 
 
-def _conv_pair(cin, cout, make_padding, kernel_size=3):
+def _conv_pair(cin, cout, make_padding):
     # two convs with the same weights, each with its own padding
-    return [Conv2D(cin, cout, make_padding(), kernel_size=kernel_size,
-                   rng=np.random.default_rng(5))
+    return [Conv2D(cin, cout, make_padding(), rng=np.random.default_rng(5))
             for _ in range(2)]
 
 
@@ -58,10 +49,10 @@ class TestConvInputGradientBytes:
     """The interior input gradient, tap by tap, against the padded path of
     ``conv_reference``: dx, dw, db and the module's filters, as bytes."""
 
-    def _check(self, cin, cout, x_shape, make_padding, kernel_size=3):
+    def _check(self, cin, cout, x_shape, make_padding):
         rng = np.random.default_rng(6)
         x = rng.normal(size=x_shape).astype(np.float32)
-        new, old = _conv_pair(cin, cout, make_padding, kernel_size)
+        new, old = _conv_pair(cin, cout, make_padding)
         y = new.forward(x)
         assert np.array_equal(old.forward(x), y)
         dy = rng.normal(size=y.shape).astype(np.float32)
@@ -81,9 +72,6 @@ class TestConvInputGradientBytes:
     def test_tiny4_conv_shapes(self, side, cin, cout, padding):
         self._check(cin, cout, (64, side, side, cin),
                     lambda: _PADDINGS[padding](cin))
-
-    def test_one_by_one_kernel_without_padding(self):
-        self._check(5, 7, (3, 6, 9, 5), lambda: ZeroPad(0), kernel_size=1)
 
     @pytest.mark.parametrize("padding", ["zero", "training_module"])
     def test_non_square_input(self, padding):
@@ -399,6 +387,13 @@ class TestGradChecks:
     def test_layer_gradients(self):
         report = layer_gradient_suite(seed=0)
         assert report.max_rel_err <= 1e-5, report.summary(1e-5)
+
+    def test_layer_suite_case_list(self):
+        assert [c.name for c in layer_gradient_suite().cases] == [
+            "conv.w", "conv.b", "conv.x", "dense.w", "dense.b", "dense.x",
+            "maxpool.x", "relu.x", "softmax_xent.logits", "net.conv.w",
+            "net.conv.b", "net.dense.w", "net.dense.b", "net.x",
+        ]
 
 
 class TestNetworkAssembly:

@@ -9,7 +9,7 @@ from padlearn.padding_module import (FilterBank, PaddingModule, _pair_stats, _pa
 
 
 def module_with(theta, channels=1, **kwargs):
-    mod = PaddingModule(channels, dtype=np.float64, **kwargs)
+    mod = PaddingModule(channels, **kwargs)
     mod.filters.weights = np.tile(np.asarray(theta, dtype=np.float64), (channels, 1))
     return mod
 
@@ -433,7 +433,7 @@ class TestInvariants:
         rng = np.random.default_rng(size * 7)
         for _ in range(5):
             h, w = (int(v) for v in rng.integers(4, 17, size=2))
-            mod = PaddingModule(3, pad_size=size, dtype=np.float64)
+            mod = module_with(MEAN, channels=3, pad_size=size)
             out = mod.forward(rng.uniform(size=(h, w, 3)))
             assert out.shape == (h + 2 * size, w + 2 * size, 3)
 
@@ -456,10 +456,10 @@ class TestInvariants:
         x = rng.uniform(size=(8, 8, 4))
         weights = rng.uniform(-1, 1, size=(4, 3))
         perm = np.array([2, 0, 3, 1])
-        mod = PaddingModule(4, dtype=np.float64).eval()
+        mod = PaddingModule(4).eval()
         mod.filters.weights = weights.copy()
         base = mod.forward(x)
-        mod_p = PaddingModule(4, dtype=np.float64).eval()
+        mod_p = PaddingModule(4).eval()
         mod_p.filters.weights = weights[perm].copy()
         permuted = mod_p.forward(x[:, :, perm])
         assert np.array_equal(permuted, base[:, :, perm])
@@ -468,7 +468,7 @@ class TestInvariants:
         rng = np.random.default_rng(77)
         x = rng.uniform(size=(3, 6, 9, 2))
         weights = rng.uniform(-1, 1, size=(2, 3))
-        mod = PaddingModule(2, pad_size=2, dtype=np.float64).eval()
+        mod = PaddingModule(2, pad_size=2).eval()
         mod.filters.weights = weights.copy()
         got = mod.forward(x)
         for n in range(3):
@@ -536,8 +536,9 @@ class TestWeightsFile:
 
 class TestFilterBank:
     def test_mean_init(self):
-        fb = FilterBank(2, dtype=np.float64)
-        np.testing.assert_array_equal(fb.weights, np.full((2, 3), 1.0) / 3)
+        fb = FilterBank(2)
+        assert fb.weights.dtype == np.float32
+        np.testing.assert_array_equal(fb.weights, np.full((2, 3), np.float32(1.0) / 3))
 
     def test_uniform_init_seeded(self):
         a = FilterBank(3, init="uniform", seed=4)

@@ -51,7 +51,7 @@ def as_rank(x4, ndim):
 
 
 def module_for(weights, pad_size=1):
-    mod = PaddingModule(weights.shape[0], pad_size=pad_size, dtype=weights.dtype)
+    mod = PaddingModule(weights.shape[0], pad_size=pad_size)
     mod.filters.weights = weights.copy()
     return mod
 
@@ -156,8 +156,8 @@ class ModuleStateMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.mod = PaddingModule(2, pad_size=2, learning_rate=0.05, init="uniform",
-                                 seed=0, dtype=np.float64)
+        self.mod = PaddingModule(2, pad_size=2, learning_rate=0.05)
+        self.mod.filters.weights = np.random.default_rng(0).uniform(-0.1, 0.1, (2, 3))
         self.armed = False
         self.frozen_weights = None
 

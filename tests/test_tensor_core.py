@@ -126,9 +126,9 @@ class TestInterior:
 def pad_module(m, size):
     """`padlearn pad --method module`: a frozen module with drawn filters."""
     channels = 1 if m.ndim == 2 else m.shape[-1]
-    module = PaddingModule(channels, pad_size=size, init="uniform", seed=size,
-                           dtype=m.dtype).eval()
-    module.freeze()
+    module = PaddingModule(channels, pad_size=size).freeze()
+    module.filters.weights = np.random.default_rng(size).uniform(
+        -0.1, 0.1, (channels, 3)).astype(m.dtype)
     return module.forward(m)
 
 
