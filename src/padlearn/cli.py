@@ -13,8 +13,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import pad_mean_interp, pad_reflect, pad_replicate, pad_zero
-from .data_io import (images_to_arrays, load_cifar10_dir, read_ppm,
-                      write_metrics_csv, write_ppm)
+from .data_io import load_cifar10_dir, read_ppm, write_metrics_csv, write_ppm
 from .nn.gradcheck import full_suite
 from .nn.network import PADDINGS, PLACEMENTS, NetworkSpec
 from .nn.train import train
@@ -65,7 +64,7 @@ def build_parser():
     p_train.add_argument("--positions", default="all", choices=list(PLACEMENTS))
     p_train.add_argument("--epochs", type=_positive_int, default=10)
     p_train.add_argument("--batch", type=_positive_int, default=64)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=_non_negative_int, default=0)
     p_train.add_argument("--lr", type=_positive_float, default=1e-3)
     p_train.add_argument("--module-lr", type=_positive_float, default=0.01)
     p_train.add_argument("--freeze-after", type=_non_negative_int, default=None,
@@ -79,7 +78,7 @@ def build_parser():
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     p_grad.add_argument("--trials", type=_positive_int, default=100)
     p_grad.add_argument("--tol", type=_positive_float, default=1e-6)
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=_non_negative_int, default=0)
 
     sub.add_parser("version", help="print the package version")
     return parser
@@ -109,11 +108,9 @@ def cmd_pad(args):
 def cmd_train(args):
     if args.save_weights is not None and args.padding != "module":
         raise ValueError("--save-weights needs at least one placed module")
-    train_images, test_images = load_cifar10_dir(
+    (x_train, y_train), (x_test, y_test) = load_cifar10_dir(
         args.data, train_limit=args.train_limit, test_limit=args.test_limit
     )
-    x_train, y_train = images_to_arrays(train_images)
-    x_test, y_test = images_to_arrays(test_images)
     spec = NetworkSpec(padding=args.padding, positions=args.positions,
                        module_lr=args.module_lr)
     net, report = train(spec, x_train, y_train, x_test, y_test,

@@ -13,33 +13,6 @@ NUM_CLASSES = 10
 
 
 @dataclass
-class LabeledImage:
-    pixels: np.ndarray  # (32, 32, 3) float32 in [0, 1]
-    label: int
-
-
-@dataclass(frozen=True, eq=False)
-class ImageSet:
-    """Decoded CIFAR records held as two arrays, indexed like a list.
-
-    `x` is (N, 32, 32, 3) float32 in [0, 1] and `y` is (N,) int64. An
-    integer index gives a `LabeledImage` whose pixels are a view of `x`; a
-    slice gives an `ImageSet` of views.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __len__(self):
-        return len(self.y)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ImageSet(self.x[index], self.y[index])
-        return LabeledImage(self.x[index], int(self.y[index]))
-
-
-@dataclass
 class MetricsRow:
     epoch: int
     split: str
@@ -94,19 +67,21 @@ def _load(paths, limit):
     planes /= 255.0  # in place, so no second float32 copy is made
     # channel-last as a view: the memory stays channel-planar, strides
     # (12288, 128, 4, 4096)
-    return ImageSet(planes.transpose(0, 2, 3, 1), labels)
+    return planes.transpose(0, 2, 3, 1), labels
 
 
 def load_cifar10_batch(path):
-    """Parse one CIFAR-10 binary batch file into an :class:`ImageSet`.
+    """Parse one CIFAR-10 binary batch file into ``(x, y)``.
 
-    Pixels come out channel-last, scaled to [0, 1]. Order is preserved.
+    ``x`` is (N, 32, 32, 3) float32 in [0, 1], channel-last, and ``y`` is
+    (N,) int64. Order is preserved.
     """
     return _load([path], None)
 
 
 def load_cifar10_dir(data_dir, train_limit=None, test_limit=None):
-    """Load (train, test) :class:`ImageSet`s from a directory of batch files.
+    """Load ``((x_train, y_train), (x_test, y_test))`` from a directory of
+    batch files, each pair as :func:`load_cifar10_batch` returns it.
 
     Training records come from data_batch_*.bin in sorted filename order,
     filling consecutive slices of one array; test records come from
@@ -122,9 +97,12 @@ def load_cifar10_dir(data_dir, train_limit=None, test_limit=None):
 
 
 def images_to_arrays(images):
-    """The (x, y) arrays an :class:`ImageSet` holds, not copies: (N,32,32,3)
-    f32 and (N,) i64. Changing one changes the other."""
-    return images.x, images.y
+    """The ``(x, y)`` pair a loader returned, as the same arrays, not copies.
+
+    ``perfbench`` is its only caller: it times this call as a span.
+    """
+    x, y = images
+    return x, y
 
 
 def write_ppm(t, path):

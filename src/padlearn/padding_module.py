@@ -32,26 +32,23 @@ WEIGHTS_MAGIC = b"PADMOD1\n"
 class FilterBank:
     """Per-channel 1x3 filter weights and their local SGD step.
 
-    ``weights`` has shape (channels, 3) and starts as float32. ``step``
-    applies one update given a same-shaped gradient array.
+    ``weights`` has shape (channels, 3) and starts as the float32 local-mean
+    extrapolator, every tap 1/3; other filters are assigned to ``weights``.
+    ``step`` applies one update given a same-shaped gradient array.
     """
 
-    def __init__(self, channels, learning_rate=0.01, init="mean", seed=None):
+    def __init__(self, channels, learning_rate=0.01):
         if channels < 1:
             raise ValueError(f"need at least one channel, got {channels}")
         self.channels = int(channels)
         self.learning_rate = float(learning_rate)
-        if init == "mean":
-            # start as a local-mean extrapolator
-            self.weights = np.full((channels, 3), 1.0, dtype=np.float32) / 3
-        elif init == "uniform":
-            rng = np.random.default_rng(seed)
-            self.weights = rng.uniform(-0.1, 0.1, size=(channels, 3)).astype(np.float32)
-        else:
-            raise ValueError(f"unknown init {init!r}")
+        self.weights = np.full((channels, 3), 1.0, dtype=np.float32) / 3
 
     def step(self, grads):
-        grads = np.asarray(grads, dtype=self.weights.dtype)
+        # a gradient past the float32 range casts to inf, which the
+        # finiteness check below reports
+        with np.errstate(over="ignore"):
+            grads = np.asarray(grads, dtype=self.weights.dtype)
         if grads.shape != self.weights.shape:
             raise ValueError(
                 f"gradient shape {grads.shape} != weights shape {self.weights.shape}"
@@ -184,12 +181,10 @@ class PaddingModule:
     updating its filters.
     """
 
-    def __init__(self, channels, pad_size=1, learning_rate=0.01, init="mean",
-                 seed=None):
+    def __init__(self, channels, pad_size=1, learning_rate=0.01):
         if pad_size < 1:
             raise ValueError(f"pad_size must be >= 1, got {pad_size}")
-        self.filters = FilterBank(channels, learning_rate=learning_rate,
-                                  init=init, seed=seed)
+        self.filters = FilterBank(channels, learning_rate=learning_rate)
         self.pad_size = int(pad_size)
         self.mode = "train"
         self.frozen = False
@@ -296,7 +291,7 @@ class PaddingModule:
             raise RuntimeError("local_update without a train-mode forward")
         mse, grad = _pair_stats(self.filters.weights, self.cache)
         self.last_local_mse = float(mse.mean())
-        self.filters.step(grad.astype(self.filters.weights.dtype))
+        self.filters.step(grad)
         self.cache = None
 
     def backward(self, g):

@@ -94,7 +94,7 @@ def make_synthetic_cifar(data_dir, n_train=6000, n_test=1000, seed=2024):
 def main(argv=None):
     import argparse
 
-    from .cli import _positive_int
+    from .cli import _non_negative_int, _positive_int
 
     parser = argparse.ArgumentParser(
         description="generate a synthetic dataset in CIFAR-10 binary layout"
@@ -102,7 +102,7 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--train", type=_positive_int, default=6000)
     parser.add_argument("--test", type=_positive_int, default=1000)
-    parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--seed", type=_non_negative_int, default=2024)
     args = parser.parse_args(argv)
     make_synthetic_cifar(args.out, args.train, args.test, args.seed)
     print(f"wrote {args.train} train / {args.test} test records to {args.out}")

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padlearn.data_io import images_to_arrays, load_cifar10_dir
+from padlearn.data_io import load_cifar10_dir
+from padlearn.padding_module import PaddingModule
 from padlearn.synthetic import make_synthetic_cifar
 
 
@@ -33,9 +34,17 @@ def cifar_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def batch64(cifar_dir):
     """A fixed batch of 64 training images, (64, 32, 32, 3) float32."""
-    train, _ = load_cifar10_dir(cifar_dir, train_limit=64, test_limit=1)
-    x, _ = images_to_arrays(train)
+    (x, _), _ = load_cifar10_dir(cifar_dir, train_limit=64, test_limit=1)
     return x
+
+
+def random_module(channels, seed, **kwargs):
+    """A PaddingModule whose filters are float32 uniform(-0.1, 0.1) draws of
+    ``default_rng(seed)``, in place of the mean filter it starts as."""
+    module = PaddingModule(channels, **kwargs)
+    module.filters.weights = (np.random.default_rng(seed)
+                              .uniform(-0.1, 0.1, (channels, 3)).astype(np.float32))
+    return module
 
 
 M4 = np.arange(1.0, 17.0).reshape(4, 4)

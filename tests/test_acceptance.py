@@ -12,9 +12,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from padlearn.data_io import (images_to_arrays, load_cifar10_batch,
-                              load_cifar10_dir, read_metrics_csv, write_metrics_csv,
-                              write_ppm)
+from conftest import random_module
+from padlearn.data_io import (load_cifar10_batch, load_cifar10_dir, read_metrics_csv,
+                              write_metrics_csv, write_ppm)
 from padlearn.nn.gradcheck import module_gradient_suite
 from padlearn.nn.network import NetworkSpec
 from padlearn.nn.train import train
@@ -132,7 +132,7 @@ def test_criterion_05_backward_contract():
 
 
 def test_criterion_06_mse_collapse(batch64):
-    module = PaddingModule(3, init="uniform", seed=123, learning_rate=0.01)
+    module = random_module(3, seed=123, learning_rate=0.01)
     initial = module.supervision_mse(batch64)
     for _ in range(2):  # two epochs, one local update per image
         for i in range(len(batch64)):
@@ -147,9 +147,8 @@ def test_criterion_06_mse_collapse(batch64):
 
 def desk_arrays(cifar_dir):
     """(x_train, y_train, x_test, y_test) at the full desk scale."""
-    train_imgs, test_imgs = load_cifar10_dir(cifar_dir, train_limit=5000,
-                                             test_limit=1000)
-    return images_to_arrays(train_imgs) + images_to_arrays(test_imgs)
+    (x, y), (xt, yt) = load_cifar10_dir(cifar_dir, train_limit=5000, test_limit=1000)
+    return x, y, xt, yt
 
 
 def desk_accuracy(padding, cifar_dir):
@@ -206,10 +205,7 @@ def test_criterion_08_placement_ablation(cifar_dir, tmp_path):
 
 
 def test_criterion_09_differential_anchor(cifar_dir):
-    train_imgs, test_imgs = load_cifar10_dir(cifar_dir, train_limit=1000,
-                                             test_limit=256)
-    x, y = images_to_arrays(train_imgs)
-    xt, yt = images_to_arrays(test_imgs)
+    (x, y), (xt, yt) = load_cifar10_dir(cifar_dir, train_limit=1000, test_limit=256)
     net_m, rep_m = train(NetworkSpec(padding="module", positions="all"),
                          x, y, xt, yt, epochs=4, batch_size=64, seed=0,
                          learning_rate=1e-3, freeze_after=0)
@@ -232,12 +228,12 @@ def test_criterion_10_format_fixtures(tmp_path):
     record2 = bytes([7]) + bytes(range(256)) * 4 + bytes([0] * 2048)
     batch = tmp_path / "fixture.bin"
     batch.write_bytes(record + record2)
-    images = load_cifar10_batch(batch)
+    x, y = load_cifar10_batch(batch)
     cifar_ok = (
-        len(images) == 2
-        and images[0].label == 4 and images[1].label == 7
-        and bool(np.all(images[0].pixels[:, :, 1] == np.float32(20 / 255)))
-        and images[1].pixels[0, 1, 0] == np.float32(1 / 255)
+        len(y) == 2
+        and y[0] == 4 and y[1] == 7
+        and bool(np.all(x[0, :, :, 1] == np.float32(20 / 255)))
+        and x[1, 0, 1, 0] == np.float32(1 / 255)
     )
 
     # PPM byte layout

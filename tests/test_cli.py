@@ -217,7 +217,8 @@ class TestTrainCommand:
     ["train", "--lr", "nan"], ["train", "--lr", "-1"], ["train", "--lr", "0"],
     ["train", "--module-lr", "inf"], ["train", "--module-lr", "-0.01"],
     ["gradcheck", "--tol", "nan"], ["gradcheck", "--tol", "0"],
-    ["gradcheck", "--tol", "x"],
+    ["gradcheck", "--tol", "x"], ["train", "--seed", "-1"],
+    ["gradcheck", "--seed", "-7"],
 ], ids=lambda argv: f"{argv[1][2:]}={argv[2]}")
 def test_rates_and_tolerance_must_be_positive(tmp_path, argv, capsys):
     if argv[0] == "train":
@@ -235,14 +236,16 @@ class TestSyntheticCommand:
         assert synthetic_main(["--out", str(tmp_path / "a")] + argv) == 0
         assert synthetic_main(["--out", str(tmp_path / "b")] + argv) == 0
         assert "20 train / 10 test" in capsys.readouterr().out
-        train, test = load_cifar10_dir(tmp_path / "a")
-        assert (len(train), len(test)) == (20, 10)
+        (x, _), (xt, _) = load_cifar10_dir(tmp_path / "a")
+        assert (len(x), len(xt)) == (20, 10)
         for name in ("data_batch_1.bin", "test_batch.bin"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    @pytest.mark.parametrize("flag,count", [("--train", "-3"), ("--test", "0")])
+    @pytest.mark.parametrize("flag,count", [("--train", "-3"), ("--test", "0"),
+                                            ("--seed", "-1")])
     def test_non_positive_count_is_usage_error(self, tmp_path, flag, count):
-        argv = ["--out", str(tmp_path / "d"), "--train", "4", "--test", "2"]
+        argv = ["--out", str(tmp_path / "d"), "--train", "4", "--test", "2",
+                "--seed", "1"]
         argv[argv.index(flag) + 1] = count
         with pytest.raises(SystemExit) as exc:
             synthetic_main(argv)

@@ -18,14 +18,13 @@ class TestCifarLoader:
     def test_two_record_fixture(self, tmp_path):
         path = tmp_path / "batch.bin"
         path.write_bytes(_record(3, 10, 20, 30) + _record(9, 1, 2, 3))
-        images = load_cifar10_batch(path)
-        assert len(images) == 2
-        assert images[0].label == 3 and images[1].label == 9
-        assert images[0].pixels.shape == (32, 32, 3)
-        assert np.all(images[0].pixels[:, :, 0] == np.float32(10 / 255))
-        assert np.all(images[0].pixels[:, :, 1] == np.float32(20 / 255))
-        assert np.all(images[0].pixels[:, :, 2] == np.float32(30 / 255))
-        assert np.all(images[1].pixels[:, :, 2] == np.float32(3 / 255))
+        x, y = load_cifar10_batch(path)
+        assert list(y) == [3, 9]
+        assert x.shape == (2, 32, 32, 3)
+        assert np.all(x[0, :, :, 0] == np.float32(10 / 255))
+        assert np.all(x[0, :, :, 1] == np.float32(20 / 255))
+        assert np.all(x[0, :, :, 2] == np.float32(30 / 255))
+        assert np.all(x[1, :, :, 2] == np.float32(3 / 255))
 
     def test_plane_position_mapping(self, tmp_path):
         body = bytearray(_record(0, 0, 0, 0))
@@ -33,7 +32,8 @@ class TestCifarLoader:
         body[1 + 1 * 1024 + 5 * 32 + 2] = 88   # green plane, row 5, col 2
         path = tmp_path / "batch.bin"
         path.write_bytes(bytes(body))
-        img = load_cifar10_batch(path)[0].pixels
+        x, _ = load_cifar10_batch(path)
+        img = x[0]
         assert img[0, 1, 0] == np.float32(77 / 255)
         assert img[5, 2, 1] == np.float32(88 / 255)
         assert img[0, 1, 1] == 0.0
@@ -54,12 +54,10 @@ class TestCifarLoader:
         blob = b"".join(_record(i % 10, i, i, i) for i in range(12))
         path = tmp_path / "batch.bin"
         path.write_bytes(blob)
-        first = load_cifar10_batch(path)
-        second = load_cifar10_batch(path)
-        for a, b in zip(first, second):
-            assert a.label == b.label
-            assert np.array_equal(a.pixels, b.pixels)
-        assert [im.label for im in first] == [i % 10 for i in range(12)]
+        x1, y1 = load_cifar10_batch(path)
+        x2, y2 = load_cifar10_batch(path)
+        assert np.array_equal(y1, y2) and np.array_equal(x1, x2)
+        assert list(y1) == [i % 10 for i in range(12)]
 
     def _every_byte(self, tmp_path):
         # 256 records, record i holding byte (i + k) % 256 at offset k, so
@@ -74,14 +72,14 @@ class TestCifarLoader:
 
     def test_pixels_are_float32_byte_over_255(self, tmp_path):
         path, expected = self._every_byte(tmp_path)
-        images = load_cifar10_batch(path)
-        for image, want in zip(images, expected):
-            assert image.pixels.dtype == np.float32
-            assert image.pixels.tobytes() == want.tobytes()
+        x, _ = load_cifar10_batch(path)
+        for image, want in zip(x, expected):
+            assert image.dtype == np.float32
+            assert image.tobytes() == want.tobytes()
 
     def test_arrays_are_float32_byte_over_255(self, tmp_path):
         path, expected = self._every_byte(tmp_path)
-        x, y = images_to_arrays(load_cifar10_batch(path))
+        x, y = load_cifar10_batch(path)
         assert x.dtype == np.float32 and y.dtype == np.int64
         assert x.tobytes() == expected.tobytes()
         assert list(y) == [i % 10 for i in range(256)]
@@ -118,35 +116,24 @@ class TestTwoBatchFiles:
     def test_arrays_match_the_record_bytes(self, tmp_path, records, limit):
         train, test = records
         kept = train if limit is None else train[:limit]
-        for images, want in zip(load_cifar10_dir(tmp_path, train_limit=limit),
+        for (x, y), want in zip(load_cifar10_dir(tmp_path, train_limit=limit),
                                 (kept, test)):
-            x, y = images_to_arrays(images)
             want_x, want_y = _decoded(want)
-            assert len(images) == len(want)
             assert x.dtype == np.float32 and y.dtype == np.int64
             assert x.shape == (len(want), 32, 32, 3)
-            # channel-planar memory, as the per-image stack used to give
+            # channel-planar memory, as the per-image stack used to give:
+            # a channel-last view of the one decoded array, not a copy
             assert x.strides == (12288, 128, 4, 4096)
+            assert np.shares_memory(x, x.base) and x.base.shape == (len(want), 3, 32, 32)
             assert x.tobytes() == want_x.tobytes()
             assert list(y) == want_y
-            for i in range(len(images)):
-                assert np.shares_memory(images[i].pixels, x)
-                assert images[i].label == want_y[i]
-
-    def test_a_slice_is_an_image_set_of_views(self, tmp_path, records):
-        train, _ = load_cifar10_dir(tmp_path)
-        part = train[2:6]
-        assert len(part) == 4
-        assert part.x.tobytes() == train.x[2:6].tobytes()
-        assert np.shares_memory(part.x, train.x)
-        assert list(part.y) == [2, 3, 4, 5]
 
     def test_arrays_are_not_copies(self, tmp_path, records):
+        # the one contract perfbench relies on: images_to_arrays hands back
+        # the loader's own arrays
         train, _ = load_cifar10_dir(tmp_path)
         x, y = images_to_arrays(train)
-        assert x is train.x and y is train.y
-        x[0, 0, 0, 0] = 2.0
-        assert train[0].pixels[0, 0, 0] == 2.0
+        assert x is train[0] and y is train[1]
 
 
 class TestPpm:
@@ -211,10 +198,10 @@ class TestPpm:
 
 def test_cifar_to_ppm_lossless(tmp_path):
     make_synthetic_cifar(tmp_path / "d", n_train=10, n_test=10, seed=5)
-    train, _ = load_cifar10_dir(tmp_path / "d")
+    (x, _), _ = load_cifar10_dir(tmp_path / "d")
     path = tmp_path / "img.ppm"
-    write_ppm(train[0].pixels, path)
-    assert np.array_equal(read_ppm(path), train[0].pixels)
+    write_ppm(x[0], path)
+    assert np.array_equal(read_ppm(path), x[0])
 
 
 class TestMetricsCsv:
@@ -260,14 +247,13 @@ class TestSynthetic:
 
     def test_loadable_and_balanced(self, tmp_path):
         make_synthetic_cifar(tmp_path / "d", n_train=100, n_test=20, seed=1)
-        train, test = load_cifar10_dir(tmp_path / "d")
-        assert len(train) == 100 and len(test) == 20
-        x, y = images_to_arrays(train)
-        assert x.shape == (100, 32, 32, 3)
+        (x, y), (xt, yt) = load_cifar10_dir(tmp_path / "d")
+        assert len(y) == 100 and len(yt) == 20
+        assert x.shape == (100, 32, 32, 3) and xt.shape == (20, 32, 32, 3)
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert np.array_equal(np.bincount(y, minlength=10), np.full(10, 10))
 
     def test_limits(self, tmp_path):
         make_synthetic_cifar(tmp_path / "d", n_train=50, n_test=20, seed=1)
-        train, test = load_cifar10_dir(tmp_path / "d", train_limit=8, test_limit=3)
-        assert len(train) == 8 and len(test) == 3
+        (x, y), (xt, yt) = load_cifar10_dir(tmp_path / "d", train_limit=8, test_limit=3)
+        assert len(x) == len(y) == 8 and len(xt) == len(yt) == 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conv_reference import conv_backward as reference_conv_backward
+from conftest import random_module
 from padlearn.nn.gradcheck import (layer_gradient_suite, module_gradient_suite,
                                    numeric_grad, rel_err)
 from padlearn.nn.layers import (Conv2D, Dense, Flatten, MaxPool2x2, ReLU,
@@ -40,8 +41,8 @@ def _conv_pair(cin, cout, make_padding):
 
 _PADDINGS = {
     "zero": lambda c: ZeroPad(1),
-    "frozen_module": lambda c: PaddingModule(c, init="uniform", seed=1).freeze(),
-    "training_module": lambda c: PaddingModule(c, init="uniform", seed=1),
+    "frozen_module": lambda c: random_module(c, seed=1).freeze(),
+    "training_module": lambda c: random_module(c, seed=1),
 }
 
 
@@ -256,7 +257,7 @@ class TestNoInputGradient:
 
     def test_eval_mode_backward_none_leaves_filters(self):
         x, _ = self._batch(1)
-        mod = PaddingModule(3, init="uniform", seed=1).eval()
+        mod = random_module(3, seed=1).eval()
         mod.forward(x)
         before = mod.filters.weights.copy()
         assert mod.backward(None) is None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from padlearn.data_io import images_to_arrays, load_cifar10_dir
+from padlearn.data_io import load_cifar10_dir
 from padlearn.nn.layers import softmax_xent
 from padlearn.nn.network import NetworkSpec, build_tiny4
 from padlearn.nn.optim import Adam
@@ -10,9 +10,8 @@ from padlearn.nn.train import evaluate, train
 
 @pytest.fixture(scope="module")
 def small_dataset(cifar_dir):
-    train_imgs, test_imgs = load_cifar10_dir(cifar_dir, train_limit=192,
-                                             test_limit=64)
-    return images_to_arrays(train_imgs) + images_to_arrays(test_imgs)
+    (x, y), (xt, yt) = load_cifar10_dir(cifar_dir, train_limit=192, test_limit=64)
+    return x, y, xt, yt
 
 
 def run(small_dataset, epochs=2, freeze_after=None, **spec_kwargs):
@@ -122,8 +121,7 @@ class TestDifferentialAnchor:
 
 def test_evaluate_matches_manual(cifar_dir):
     # 300 images: whole and partial chunks at each chunk size
-    _, test_imgs = load_cifar10_dir(cifar_dir, train_limit=1, test_limit=300)
-    xt, yt = images_to_arrays(test_imgs)
+    _, (xt, yt) = load_cifar10_dir(cifar_dir, train_limit=1, test_limit=300)
     net = build_tiny4(NetworkSpec(padding="zero"), seed=0)
     by_chunk = {b: evaluate(net, xt, yt, batch_size=b) for b in (32, 64, 256)}
     assert evaluate(net, xt, yt) == by_chunk[64]
