@@ -3,11 +3,18 @@
 A layer caches what its backward pass needs during forward in train mode
 only. In eval mode forward computes the output and keeps nothing, and
 switching to eval mode drops any cache a train-mode forward left; a
-backward then raises until the next train-mode forward. Convolution
-is valid cross-correlation after the attached padding strategy has run.
-Its backward computes the input gradient of the unpadded interior only,
-tap by tap, so the gradients of the padded rings are never formed, and it
-calls the strategy's ``backward(None)``.
+backward then raises until the next train-mode forward.
+
+Convolution is valid cross-correlation after the attached padding strategy
+has run. Its train-mode forward writes the im2col columns into a buffer the
+layer owns, allocated again only when their shape or dtype changes, and
+caches that buffer. Switching to eval mode drops the cache but keeps the
+buffer, so the next training step faults no fresh pages in; an eval-mode
+forward allocates its columns fresh and never writes to the buffer. The
+buffer is internal: no returned array shares its memory. Backward computes
+the input gradient of the unpadded interior only, tap by tap, so the
+gradients of the padded rings are never formed, and it calls the strategy's
+``backward(None)``.
 
 A padding's ``backward(None)`` means "update only": no gradient is wanted,
 so the strategy runs its train-mode local update, if one is due, and
@@ -52,6 +59,10 @@ class Layer:
         return self
 
     def eval(self):
+        """Switch to eval mode and drop the cache, so a backward raises
+        until the next train-mode forward. A Conv2D keeps its column
+        buffer, which is not a cache: the next train-mode forward
+        overwrites it."""
         self.training = False
         self._cache = None
         return self
@@ -70,14 +81,10 @@ class Layer:
         return []
 
 
-def _im2col(xp, k):
-    # (N, Hp, Wp, C) -> (N*Ho*Wo, k*k*C), window-major rows; the reshape of
-    # the transposed window view is the only copy
-    n, hp, wp, c = xp.shape
-    ho, wo = hp - k + 1, wp - k + 1
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N, Ho, Wo, C, k, k)
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * c)
-    return cols, ho, wo
+def _windows(xp, k):
+    # (N, Hp, Wp, C) -> (N, Ho, Wo, k, k, C), a strided view of xp; its
+    # reshape to (N*Ho*Wo, k*k*C) gives the window-major im2col rows
+    return sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
 class Conv2D(Layer):
@@ -90,6 +97,7 @@ class Conv2D(Layer):
     """
 
     k = 3
+    _cols = None  # the train-mode columns' buffer, kept through eval()
 
     def __init__(self, in_channels, out_channels, padding, rng, dtype=np.float32):
         self.in_channels = in_channels
@@ -108,12 +116,20 @@ class Conv2D(Layer):
                 f"expected {self.in_channels} input channels, got {x.shape[3]}"
             )
         xp = self.padding.forward(x)
-        cols, ho, wo = _im2col(xp, self.k)
+        windows = _windows(xp, self.k)
+        n, ho, wo = windows.shape[:3]
+        shape = (n * ho * wo, self.k * self.k * self.in_channels)
+        if self.training:
+            cols = self._cols
+            if cols is None or cols.shape != shape or cols.dtype != xp.dtype:
+                cols = self._cols = np.empty(shape, dtype=xp.dtype)
+            np.copyto(cols.reshape(windows.shape), windows)
+            self._cache = cols
+        else:
+            cols = windows.reshape(shape)  # a fresh copy
         y = cols @ self.w.reshape(-1, self.out_channels)
         y += self.b  # in place: one output-sized array fewer at peak
-        if self.training:
-            self._cache = cols
-        return y.reshape(x.shape[0], ho, wo, self.out_channels)
+        return y.reshape(n, ho, wo, self.out_channels)
 
     def backward(self, dy, need_dx=True):
         """Set dw and db, let the padding update, and return the gradient

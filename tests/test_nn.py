@@ -79,6 +79,62 @@ class TestConvInputGradientBytes:
         self._check(5, 7, (3, 10, 14, 5), lambda: _PADDINGS[padding](5))
 
 
+class TestConvColumnWorkspace:
+    """A train-mode forward writes the columns into the conv's own buffer,
+    allocated again only when their shape changes; eval mode neither frees
+    nor writes it, and no returned array shares its memory."""
+
+    def _conv_and_batches(self):
+        # a conv and two batches of one shape
+        conv = Conv2D(16, 32, ZeroPad(1), rng=np.random.default_rng(5))
+        x = np.random.default_rng(7).normal(size=(2, 4, 16, 16, 16))
+        return conv, x.astype(np.float32)
+
+    def test_train_forwards_of_one_shape_reuse_the_buffer(self):
+        conv, (x0, x1) = self._conv_and_batches()
+        y0 = conv.forward(x0)
+        first = conv._cached()
+        y1 = conv.forward(x1)
+        assert np.shares_memory(first, conv._cached())
+        for y in (y0, y1):
+            assert not np.shares_memory(y, conv._cached())
+
+    def test_eval_keeps_the_buffer_and_never_writes_it(self):
+        conv, (x0, x1) = self._conv_and_batches()
+        conv.forward(x0)
+        buf = conv._cached()
+        saved = buf.tobytes()
+        y = conv.eval().forward(x1)
+        assert conv._cols is buf and buf.tobytes() == saved
+        assert not np.shares_memory(y, buf)
+        with pytest.raises(RuntimeError):
+            conv.backward(np.ones_like(y))
+
+    @pytest.mark.parametrize("padding", ["zero", "training_module"])
+    def test_partial_batch_between_full_ones(self, padding):
+        # batches of 64, 8 and 64, as --train-limit 200 gives, through one
+        # conv and each through a fresh twin with the same weights: the same
+        # dx, dw, db and filter bytes
+        make_padding = lambda: _PADDINGS[padding](16)
+        conv = Conv2D(16, 32, make_padding(), rng=np.random.default_rng(5))
+        rng = np.random.default_rng(8)
+        for n in (64, 8, 64):
+            twin = Conv2D(16, 32, make_padding(), rng=np.random.default_rng(5))
+            if isinstance(conv.padding, PaddingModule):
+                twin.padding.filters.weights = conv.padding.filters.weights.copy()
+            x = rng.normal(size=(n, 16, 16, 16)).astype(np.float32)
+            y = conv.forward(x)
+            assert y.tobytes() == twin.forward(x).tobytes()
+            assert conv._cached().shape == (n * 16 * 16, 9 * 16)
+            dy = rng.normal(size=y.shape).astype(np.float32)
+            assert conv.backward(dy).tobytes() == twin.backward(dy).tobytes()
+            assert conv.dw.tobytes() == twin.dw.tobytes()
+            assert conv.db.tobytes() == twin.db.tobytes()
+            if isinstance(conv.padding, PaddingModule):
+                assert (conv.padding.filters.weights.tobytes()
+                        == twin.padding.filters.weights.tobytes())
+
+
 class TestSimpleLayers:
     def test_relu_values(self):
         relu = ReLU()

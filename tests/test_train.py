@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from padlearn.data_io import load_cifar10_dir
-from padlearn.nn.layers import softmax_xent
+from padlearn.nn.layers import Conv2D, softmax_xent
 from padlearn.nn.network import NetworkSpec, build_tiny4
 from padlearn.nn.optim import Adam
 from padlearn.nn.train import evaluate, train
@@ -133,27 +133,27 @@ def test_evaluate_matches_manual(cifar_dir):
         assert abs(loss - want_loss) < 1e-6
 
 
-def _held_bytes(value, keep):
+def _held(value, keep):
     if isinstance(value, np.ndarray):
-        return 0 if any(value is k for k in keep) else value.nbytes
+        return [] if any(value is k for k in keep) else [value]
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):
-        return sum(_held_bytes(v, keep) for v in value)
-    return 0
+        return [a for v in value for a in _held(v, keep)]
+    return []
 
 
-def backward_state_bytes(net):
-    """Bytes of every array the layers and their paddings hold besides
-    their parameters and gradients."""
-    total = 0
+def held_arrays(net):
+    """Every array the layers and their paddings hold besides their
+    parameters and gradients."""
+    held = []
     for layer in net.layers:
         keep = layer.params() + layer.grads()
-        total += _held_bytes(list(vars(layer).values()), keep)
+        held += _held(list(vars(layer).values()), keep)
         padding = getattr(layer, "padding", None)
         if padding is not None:
-            total += _held_bytes(list(vars(padding).values()), keep)
-    return total
+            held += _held(list(vars(padding).values()), keep)
+    return held
 
 
 def _batch(seed, n):
@@ -172,11 +172,23 @@ def _step(net, optimizer, x, y):
 class TestEvalPass:
     @pytest.mark.parametrize("padding", ["zero", "module"])
     def test_evaluate_keeps_no_backward_state(self, padding):
+        # evaluate drops every cache backward reads; all that stays is each
+        # conv's column buffer, at the training batch's shape and size
         net = build_tiny4(NetworkSpec(padding=padding), seed=0)
         _step(net, Adam(1e-3), *_batch(0, 16))
-        assert backward_state_bytes(net) > 0
+        convs = [layer for layer in net.layers if isinstance(layer, Conv2D)]
+        buffers = [conv._cols for conv in convs]
+        sizes = [b.nbytes for b in buffers]
+        assert sum(a.nbytes for a in held_arrays(net)) > sum(sizes)
         evaluate(net, *_batch(1, 80))
-        assert backward_state_bytes(net) == 0
+        assert all(layer._cache is None for layer in net.layers)
+        assert all(module.cache is None for module in net.modules)
+        held = held_arrays(net)
+        assert len(held) == len(buffers) == 4
+        assert all(a is b for a, b in zip(held, buffers))
+        for conv, side, size in zip(convs, (32, 16, 8, 8), sizes):
+            assert conv._cols.shape == (16 * side * side, 9 * conv.in_channels)
+            assert conv._cols.nbytes == size
 
     @pytest.mark.parametrize("padding", ["zero", "module"])
     def test_step_after_evaluate_is_unchanged(self, padding):
