@@ -12,16 +12,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import pad_mean_interp, pad_reflect, pad_replicate, pad_zero
 from .data_io import load_cifar10_dir, read_ppm, write_metrics_csv, write_ppm
 from .nn.gradcheck import full_suite
 from .nn.network import PADDINGS, PLACEMENTS, NetworkSpec
 from .nn.train import train
 from .padding_module import PaddingModule, load_weights, save_weights
 
-# the methods `pad` runs without a weights file
-PAD_METHODS = {"zero": pad_zero, "reflect": pad_reflect,
-               "replicate": pad_replicate, "meaninterp": pad_mean_interp}
+# the `np.pad` mode of each fixed method; meaninterp is the frozen module
+# at its mean-filter start and module is the frozen module with filters
+# read from a weights file
+NP_PAD_MODES = {"zero": "constant", "reflect": "reflect", "replicate": "edge"}
 
 
 def _positive_int(text):
@@ -52,7 +52,7 @@ def build_parser():
     p_pad = sub.add_parser("pad", help="pad a PPM image with a chosen method")
     p_pad.add_argument("--input", required=True)
     p_pad.add_argument("--method", required=True,
-                       choices=[*PAD_METHODS, "module"])
+                       choices=[*NP_PAD_MODES, "meaninterp", "module"])
     p_pad.add_argument("--size", required=True, type=_positive_int)
     p_pad.add_argument("--weights", default=None,
                        help="filter weights file (required for --method module)")
@@ -86,19 +86,26 @@ def build_parser():
 
 def cmd_pad(args):
     image = read_ppm(args.input)
-    if args.method == "module":
-        if args.weights is None:
-            raise ValueError("--method module requires --weights")
-        weights = load_weights(args.weights)
-        if weights.shape[0] != image.shape[2]:
+    s = args.size
+    if args.method in NP_PAD_MODES:
+        h, w, _ = image.shape
+        if args.method == "reflect" and s >= min(h, w):
             raise ValueError(
-                f"weights file has {weights.shape[0]} channels, image has {image.shape[2]}"
+                f"reflect padding of {s} needs spatial dims > {s}, got {h}x{w}"
             )
-        module = PaddingModule(weights.shape[0], pad_size=args.size).freeze()
-        module.filters.weights = weights
-        padded = module.forward(image)
+        padded = np.pad(image, ((s, s), (s, s), (0, 0)), mode=NP_PAD_MODES[args.method])
     else:
-        padded = PAD_METHODS[args.method](image, args.size)
+        module = PaddingModule(image.shape[2], pad_size=s).freeze()
+        if args.method == "module":
+            if args.weights is None:
+                raise ValueError("--method module requires --weights")
+            weights = load_weights(args.weights)
+            if weights.shape[0] != image.shape[2]:
+                raise ValueError(
+                    f"weights file has {weights.shape[0]} channels, image has {image.shape[2]}"
+                )
+            module.filters.weights = weights
+        padded = module.forward(image)
     write_ppm(np.clip(padded, 0.0, 1.0), args.output)
     h, w, c = padded.shape
     print(f"{args.output}: {h}x{w}x{c}")

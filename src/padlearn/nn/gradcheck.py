@@ -75,13 +75,10 @@ def finite_diff_check(fn, checks):
     """Compare analytic gradients against central differences of `fn`.
 
     `checks` is a list of (name, array, analytic_gradient); arrays are
-    perturbed in place and restored.
+    perturbed in place and restored. Returns one GradCheckCase per check.
     """
-    cases = []
-    for name, arr, analytic in checks:
-        numeric = numeric_grad(fn, arr)
-        cases.append(GradCheckCase(name, rel_err(analytic, numeric)))
-    return GradCheckReport(cases)
+    return [GradCheckCase(name, rel_err(analytic, numeric_grad(fn, arr)))
+            for name, arr, analytic in checks]
 
 
 def module_gradient_suite(trials=100, seed=0):
@@ -117,7 +114,7 @@ def layer_gradient_suite(seed=0):
         dx = layer.backward(readout)
         checks = [(f"{name}.{p}", param, grad)
                   for p, param, grad in zip("wb", layer.params(), layer.grads())]
-        cases.extend(finite_diff_check(fn, checks + [(f"{name}.x", x, dx)]).cases)
+        cases.extend(finite_diff_check(fn, checks + [(f"{name}.x", x, dx)]))
 
     # conv with zero padding attached
     probe("conv", Conv2D(2, 3, ZeroPad(1), rng=rng, dtype=np.float64),
@@ -146,7 +143,7 @@ def layer_gradient_suite(seed=0):
     labels = rng.integers(0, 10, size=5)
     fn = lambda: softmax_xent(logits, labels)[0]
     _, dlogits = softmax_xent(logits, labels)
-    cases += finite_diff_check(fn, [("softmax_xent.logits", logits, dlogits)]).cases
+    cases += finite_diff_check(fn, [("softmax_xent.logits", logits, dlogits)])
 
     # end-to-end: conv-relu-pool-flatten-dense with cross-entropy loss
     for attempt in range(50):
@@ -174,7 +171,7 @@ def layer_gradient_suite(seed=0):
                                     ("net.conv.b", conv2.b, conv2.db),
                                     ("net.dense.w", dense2.w, dense2.dw),
                                     ("net.dense.b", dense2.b, dense2.db),
-                                    ("net.x", xe, dy)]).cases
+                                    ("net.x", xe, dy)])
 
     return GradCheckReport(cases)
 

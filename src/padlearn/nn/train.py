@@ -29,20 +29,22 @@ class TrainReport:
         return float(np.mean(accs[-5:]))
 
 
-def evaluate(net, x, y, batch_size=64):
-    """Mean loss and accuracy of `net` over (x, y), in eval mode.
+# the eval chunk is the training batch size: with 256-image chunks a pass
+# spent a fifth of its time in the kernel, faulting in fresh pages for the
+# larger arrays (one BLAS thread, 2-vCPU host)
+EVAL_BATCH = 64
 
-    The default chunk is the training batch size: with 256-image chunks a
-    pass spent a fifth of its time in the kernel, faulting in fresh pages
-    for the larger arrays (one BLAS thread, 2-vCPU host).
-    """
+
+def evaluate(net, x, y):
+    """Mean loss and accuracy of `net` over (x, y), in eval mode, in
+    chunks of ``EVAL_BATCH`` images."""
     net.eval()
     n = len(x)
     loss_sum = 0.0
     correct = 0
-    for start in range(0, n, batch_size):
-        xb = x[start : start + batch_size]
-        yb = y[start : start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        xb = x[start : start + EVAL_BATCH]
+        yb = y[start : start + EVAL_BATCH]
         logits = net.forward(xb)
         loss, _ = softmax_xent(logits, yb)
         loss_sum += loss * len(xb)

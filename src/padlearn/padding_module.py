@@ -34,7 +34,9 @@ class FilterBank:
 
     ``weights`` has shape (channels, 3) and starts as the float32 local-mean
     extrapolator, every tap 1/3; other filters are assigned to ``weights``.
-    ``step`` applies one update given a same-shaped gradient array.
+    ``step`` applies one update given a same-shaped gradient array; an
+    update that would leave a non-finite weight raises FloatingPointError
+    and keeps the weights as they were.
     """
 
     def __init__(self, channels, learning_rate=0.01):
@@ -53,9 +55,10 @@ class FilterBank:
             raise ValueError(
                 f"gradient shape {grads.shape} != weights shape {self.weights.shape}"
             )
-        self.weights = self.weights - self.learning_rate * grads
-        if not np.all(np.isfinite(self.weights)):
+        weights = self.weights - self.learning_rate * grads
+        if not np.all(np.isfinite(weights)):
             raise FloatingPointError("filter weights diverged to non-finite values")
+        self.weights = weights
 
 
 # --- batched kernel ----------------------------------------------------------
@@ -285,14 +288,14 @@ class PaddingModule:
         """One SGD step on the filters from the cached supervision.
 
         The per-channel gradient is averaged over the batch the cached
-        input holds; the cache is consumed.
+        input holds; the cache is consumed, also by a step that raises.
         """
         if self.cache is None:
             raise RuntimeError("local_update without a train-mode forward")
         mse, grad = _pair_stats(self.filters.weights, self.cache)
+        self.cache = None
         self.last_local_mse = float(mse.mean())
         self.filters.step(grad)
-        self.cache = None
 
     def backward(self, g):
         """Strip padded-ring gradients; update filters first in train mode.
@@ -304,7 +307,7 @@ class PaddingModule:
         """
         if g is not None:
             g4, ndim = self._as_batch(g, "backward")
-        if self.mode == "train" and not self.frozen:
+        if self.mode == "train":
             if self.cache is None:
                 raise RuntimeError("backward without a train-mode forward")
             n, h, w, c = self.cache.shape

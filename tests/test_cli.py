@@ -77,11 +77,76 @@ class TestPadCommand:
                      "--size", "4", "--output", str(out_mean)]) == 0
         assert out_mod.read_bytes() == out_mean.read_bytes()
 
+    @staticmethod
+    def pad_2x2(tmp_path, method):
+        """Pad a 2x2 PPM whose channel c holds [[1, 2], [3, 4]] + 10c by one
+        ring; returns the output bytes as (4, 4, 3) ints, less 10c."""
+        src = tmp_path / "in.ppm"
+        pixels = np.array([[1, 2], [3, 4]])[:, :, None] + 10 * np.arange(3)
+        src.write_bytes(b"P6\n2 2\n255\n" + pixels.astype(np.uint8).tobytes())
+        out = tmp_path / "out.ppm"
+        assert main(["pad", "--input", str(src), "--method", method,
+                     "--size", "1", "--output", str(out)]) == 0
+        return np.rint(read_ppm(out) * 255).astype(int) - 10 * np.arange(3)
+
+    def test_reflect_mirror_rule(self, tmp_path):
+        # ring 1 repeats the row/column one inside the edge
+        expected = np.array([
+            [4, 3, 4, 3],
+            [2, 1, 2, 1],
+            [4, 3, 4, 3],
+            [2, 1, 2, 1],
+        ])
+        got = self.pad_2x2(tmp_path, "reflect")
+        assert all(np.array_equal(got[:, :, c], expected) for c in range(3))
+
+    def test_replicate_nearest_edge(self, tmp_path):
+        # corners copy the nearest corner
+        expected = np.array([
+            [1, 1, 2, 2],
+            [1, 1, 2, 2],
+            [3, 3, 4, 4],
+            [3, 3, 4, 4],
+        ])
+        got = self.pad_2x2(tmp_path, "replicate")
+        assert all(np.array_equal(got[:, :, c], expected) for c in range(3))
+
+    def test_replicate_rings_compose(self, image_ppm, tmp_path):
+        # two rings at once are one ring padded by one more
+        def pad(src, size, out):
+            assert main(["pad", "--input", str(src), "--method", "replicate",
+                         "--size", str(size), "--output", str(out)]) == 0
+            return out
+        once = pad(pad(image_ppm, 1, tmp_path / "one.ppm"), 1, tmp_path / "once.ppm")
+        assert pad(image_ppm, 2, tmp_path / "two.ppm").read_bytes() == once.read_bytes()
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_reflect_size_not_below_side_is_contract_error(self, tmp_path, size, capsys):
+        src = tmp_path / "in.ppm"
+        write_ppm(np.full((3, 5, 3), 0.5), src)
+        out = tmp_path / "o.ppm"
+        assert main(["pad", "--input", str(src), "--method", "reflect",
+                     "--size", str(size), "--output", str(out)]) == 1
+        assert (f"reflect padding of {size} needs spatial dims > {size}, got 3x5"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_replicate_and_reflect_agree_on_constant(self, tmp_path):
+        src = tmp_path / "in.ppm"
+        write_ppm(np.full((4, 6, 3), 0.6), src)
+        outs = [tmp_path / f"{method}.ppm" for method in ("replicate", "reflect")]
+        for out in outs:
+            assert main(["pad", "--input", str(src), "--method", out.stem,
+                         "--size", "2", "--output", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_size_zero_is_usage_error(self, image_ppm, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["pad", "--input", str(image_ppm), "--method", "zero",
-                  "--size", "0", "--output", str(tmp_path / "o.ppm")])
-        assert exc.value.code == 2
+        for method in ("zero", "reflect", "replicate", "meaninterp", "module"):
+            with pytest.raises(SystemExit) as exc:
+                main(["pad", "--input", str(image_ppm), "--method", method,
+                      "--size", "0", "--output", str(tmp_path / "o.ppm")])
+            assert exc.value.code == 2
+        assert not (tmp_path / "o.ppm").exists()
 
     def test_module_without_weights_is_contract_error(self, image_ppm, tmp_path):
         code = main(["pad", "--input", str(image_ppm), "--method", "module",

@@ -367,14 +367,20 @@ class TestLocalUpdate:
     def test_divergence_raises_only_floating_point_error(self):
         # lr times the local loss's largest curvature is about 2.6 here, so
         # fixed-step SGD from the mean filter diverges within 200 updates;
-        # the float32 cast of the last, overflowing gradient must not warn
+        # the float32 cast of the last, overflowing gradient must not warn;
+        # the step that raises keeps the last finite weights and consumes
+        # the cache
         x = np.random.default_rng(0).uniform(0, 1, (8, 8, 8, 1)) * 12
         mod = PaddingModule(1, learning_rate=0.01)
         with warnings.catch_warnings(), pytest.raises(FloatingPointError):
             warnings.simplefilter("error")
             for _ in range(300):
+                before = mod.filters.weights.copy()
                 mod.forward(x)
                 mod.local_update()
+        assert np.array_equal(mod.filters.weights, before)
+        assert np.all(np.isfinite(before))
+        assert mod.cache is None
 
 
 class TestBackward:

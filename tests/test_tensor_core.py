@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from conftest import interior
 from padding_reference import col_t, reflect_row, row, vconcat, zero_row
-from padlearn.baselines import pad_mean_interp, pad_reflect, pad_replicate, pad_zero
 from padlearn.padding_module import PaddingModule
 
 
@@ -134,7 +133,7 @@ def pad_module(m, size):
 
 @st.composite
 def images(draw, margin):
-    """A 2-D, 3-D or 4-D float32/float64 input large enough for every method."""
+    """A 2-D, 3-D or 4-D float32/float64 input with both sides above `margin`."""
     ndim = draw(st.sampled_from((2, 3, 4)))
     h = draw(st.integers(margin + 1, 9))
     w = draw(st.integers(margin + 1, 9))
@@ -146,8 +145,7 @@ def images(draw, margin):
     return rng.normal(size=shape).astype(dtype)
 
 
-@pytest.mark.parametrize("padder", [pad_zero, pad_reflect, pad_replicate,
-                                    pad_mean_interp, pad_module])
+@pytest.mark.parametrize("padder", [pad_module])
 @pytest.mark.parametrize("margin", [1, 2, 3])
 @given(data=st.data())
 def test_pad_interior_round_trip(padder, margin, data):
