@@ -1,9 +1,9 @@
 """Minimal CNN layers over (N, H, W, C) arrays, with exact analytic backward.
 
 A layer caches what its backward pass needs during forward in train mode
-only. In eval mode forward computes the output and keeps nothing, and
-switching to eval mode drops any cache a train-mode forward left; a
-backward then raises until the next train-mode forward.
+only, and every forward drops the old cache first. Eval mode keeps nothing,
+and switching to eval mode drops any cache; a backward then raises until
+the next train-mode forward that returns.
 
 Convolution is valid cross-correlation after the attached padding strategy
 has run. Its train-mode forward writes the im2col columns into a buffer the
@@ -110,6 +110,7 @@ class Conv2D(Layer):
         self.db = None
 
     def forward(self, x):
+        self._cache = None
         if x.shape[3] != self.in_channels:
             raise ValueError(
                 f"expected {self.in_channels} input channels, got {x.shape[3]}"
@@ -142,7 +143,7 @@ class Conv2D(Layer):
         n, ho, wo, _ = dy.shape
         dy_flat = dy.reshape(-1, self.out_channels)
         self.dw = (cols.T @ dy_flat).reshape(self.w.shape)
-        self.db = dy_flat.sum(axis=0)
+        self.db = np.einsum("mc->c", dy_flat)
         self.padding.backward(None)
         if not need_dx:
             return None
@@ -170,6 +171,7 @@ class Conv2D(Layer):
 
 class ReLU(Layer):
     def forward(self, x):
+        self._cache = None
         if self.training:
             self._cache = x > 0
         return np.maximum(x, 0)
@@ -188,6 +190,7 @@ class MaxPool2x2(Layer):
     each block, in row-major block order, as ``argmax`` would."""
 
     def forward(self, x):
+        self._cache = None
         _, h, w, _ = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"spatial dims must be even, got {h}x{w}")
@@ -218,6 +221,7 @@ class MaxPool2x2(Layer):
 
 class Flatten(Layer):
     def forward(self, x):
+        self._cache = None
         if self.training:
             self._cache = x.shape
         return x.reshape(x.shape[0], -1)
@@ -235,13 +239,15 @@ class Dense(Layer):
         self.db = None
 
     def forward(self, x):
+        self._cache = None
+        y = x @ self.w + self.b
         if self.training:
             self._cache = x
-        return x @ self.w + self.b
+        return y
 
     def backward(self, dy):
         self.dw = self._cached().T @ dy
-        self.db = dy.sum(axis=0)
+        self.db = np.einsum("mc->c", dy)
         return dy @ self.w.T
 
     def params(self):

@@ -10,45 +10,15 @@ the same math gives the same bytes.
 import numpy as np
 
 
-def row(t, i):
-    """Row `i` of a 2-D plane as a list (a copy)."""
-    if not 0 <= i < t.shape[0]:
-        raise IndexError(f"row index {i} out of range for {t.shape[0]} rows")
-    return [t[i, j] for j in range(t.shape[1])]
-
-
-def col_t(t, j):
-    """Column `j` of a 2-D plane, top to bottom, as a list (a copy)."""
-    if not 0 <= j < t.shape[1]:
-        raise IndexError(f"column index {j} out of range for {t.shape[1]} columns")
-    return [t[i, j] for i in range(t.shape[0])]
-
-
-def vconcat(a, b):
-    """Stack `a` on top of `b`; a 1-D input counts as one row. Widths must match."""
-    a = np.atleast_2d(np.asarray(a))
-    b = np.atleast_2d(np.asarray(b))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"width mismatch: {a.shape[1]} vs {b.shape[1]} columns")
-    return np.concatenate([a, b], axis=0)
-
-
-def reflect_row(v):
-    """Mirror one value over each end, excluding the end: [a, b, c] -> [b, a, b, c, b]."""
-    if len(v) < 2:
-        raise ValueError(f"need length >= 2 to reflect, got {len(v)}")
-    return [v[1], *v, v[-2]]
-
-
-def zero_row(v):
-    """One zero on each side: [x..] -> [0, x.., 0]."""
-    return [0.0, *v, 0.0]
+def _predictor(v):
+    # mirror one value over each end (the end itself excluded), then a zero
+    return [0.0, v[1], *v, v[-2], 0.0]
 
 
 def slide(theta, v):
     """theta's 1x3 filter over the reflect-then-zero padded row: len(v)+2 values."""
     t0, t1, t2 = theta
-    x = zero_row(reflect_row(v))
+    x = _predictor(v)
     return [t0 * x[j] + t1 * x[j + 1] + t2 * x[j + 2] for j in range(len(x) - 2)]
 
 
@@ -68,12 +38,17 @@ def pad_plane(plane, theta, rings):
     p, theta = _in_common_dtype(plane, theta)
     for _ in range(rings):
         h, w = p.shape
-        top, bottom = slide(theta, row(p, 0)), slide(theta, row(p, h - 1))
-        left, right = slide(theta, col_t(p, 0)), slide(theta, col_t(p, w - 1))
-        first = [(top[0] + left[0]) / 2, *top[1:-1], (top[-1] + right[0]) / 2]
-        last = [(bottom[0] + left[-1]) / 2, *bottom[1:-1], (bottom[-1] + right[-1]) / 2]
-        middle = [[left[i + 1], *row(p, i), right[i + 1]] for i in range(h)]
-        p = vconcat(vconcat(first, middle), last)
+        top, bottom = slide(theta, p[0]), slide(theta, p[-1])
+        left, right = slide(theta, p[:, 0]), slide(theta, p[:, -1])
+        grown = np.empty((h + 2, w + 2), dtype=p.dtype)
+        grown[1:-1, 1:-1] = p
+        grown[0], grown[-1] = top, bottom
+        grown[1:-1, 0], grown[1:-1, -1] = left[1:-1], right[1:-1]
+        grown[0, 0] = (top[0] + left[0]) / 2
+        grown[0, -1] = (top[-1] + right[0]) / 2
+        grown[-1, 0] = (bottom[0] + left[-1]) / 2
+        grown[-1, -1] = (bottom[-1] + right[-1]) / 2
+        p = grown
     return p
 
 
@@ -83,10 +58,9 @@ def supervision(plane):
     The targets are the outermost rows and columns; each predictor row is
     the row or column just inside its target with both ends dropped.
     """
-    h, w = plane.shape
-    targets = [row(plane, 0), row(plane, h - 1), col_t(plane, 0), col_t(plane, w - 1)]
-    rows = [row(plane, 1), row(plane, h - 2), col_t(plane, 1), col_t(plane, w - 2)]
-    return targets, [r[1:-1] for r in rows]
+    targets = [plane[0], plane[-1], plane[:, 0], plane[:, -1]]
+    rows = [plane[1, 1:-1], plane[-2, 1:-1], plane[1:-1, 1], plane[1:-1, -2]]
+    return targets, rows
 
 
 def local_mse_and_grad(plane, theta):
@@ -97,7 +71,7 @@ def local_mse_and_grad(plane, theta):
     total, count = 0.0, 0
     grad = [0.0, 0.0, 0.0]
     for target, v in zip(targets, rows):
-        x = zero_row(reflect_row(v))
+        x = _predictor(v)
         pred = slide(theta, v)
         for j in range(len(target)):
             r = float(pred[j] - target[j])

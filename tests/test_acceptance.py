@@ -159,18 +159,22 @@ def desk_accuracy(padding, cifar_dir):
     return rep.last5_mean_test_accuracy
 
 
-@pytest.mark.slow
-def test_criterion_07_classification_non_inferiority(cifar_dir):
-    # the two trainings run side by side in fresh processes, each loading
-    # the data itself and pinned to one BLAS thread, so each is
-    # bit-identical to a sequential one-thread run whatever the host's
-    # default thread count
-    paddings = ("zero", "module")
+def side_by_side(run, paddings, cifar_dir):
+    """``run(padding, cifar_dir)`` for each padding, as a dict.
+
+    The runs go side by side in fresh processes, each loading the data
+    itself and pinned to one BLAS thread, so each is bit-identical to a
+    sequential one-thread run whatever the host's default thread count.
+    """
     one_thread = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
             len(paddings), mp_context=multiprocessing.get_context("spawn")) as pool:
-        accs = dict(zip(paddings, pool.map(desk_accuracy, paddings,
-                                           [cifar_dir] * len(paddings))))
+        return dict(zip(paddings, pool.map(run, paddings, [cifar_dir] * len(paddings))))
+
+
+@pytest.mark.slow
+def test_criterion_07_classification_non_inferiority(cifar_dir):
+    accs = side_by_side(desk_accuracy, ("zero", "module"), cifar_dir)
     margin = (accs["module"] - accs["zero"]) * 100
     report(7, "classification non-inferiority", margin >= -1.0,
            f"module {accs['module']:.4f} vs zero {accs['zero']:.4f}, "
@@ -204,20 +208,22 @@ def test_criterion_08_placement_ablation(cifar_dir, tmp_path):
            "6 scenarios complete with contiguous epochs; ordering reported above")
 
 
-def test_criterion_09_differential_anchor(cifar_dir):
+def anchor_run(padding, cifar_dir):
+    """(each row's (loss, accuracy), the parameters) of a seeded 4-epoch
+    run; a module run freezes its filters from the start."""
     (x, y), (xt, yt) = load_cifar10_dir(cifar_dir, train_limit=1000, test_limit=256)
-    net_m, rep_m = train(NetworkSpec(padding="module", positions="all"),
-                         x, y, xt, yt, epochs=4, batch_size=64, seed=0,
-                         learning_rate=1e-3, freeze_after=0)
-    net_i, rep_i = train(NetworkSpec(padding="meaninterp", positions="all"),
-                         x, y, xt, yt, epochs=4, batch_size=64, seed=0,
-                         learning_rate=1e-3)
-    rows_equal = all(
-        (rm.loss, rm.accuracy) == (ri.loss, ri.accuracy)
-        for rm, ri in zip(rep_m.rows, rep_i.rows)
-    )
+    net, rep = train(NetworkSpec(padding=padding, positions="all"),
+                     x, y, xt, yt, epochs=4, batch_size=64, seed=0, learning_rate=1e-3,
+                     freeze_after=0 if padding == "module" else None)
+    return [(r.loss, r.accuracy) for r in rep.rows], net.params()
+
+
+def test_criterion_09_differential_anchor(cifar_dir):
+    runs = side_by_side(anchor_run, ("module", "meaninterp"), cifar_dir)
+    (rows_m, params_m), (rows_i, params_i) = runs["module"], runs["meaninterp"]
+    rows_equal = all(rm == ri for rm, ri in zip(rows_m, rows_i))
     params_equal = all(np.array_equal(pm, pi)
-                       for pm, pi in zip(net_m.params(), net_i.params()))
+                       for pm, pi in zip(params_m, params_i))
     report(9, "differential anchor", rows_equal and params_equal,
            "frozen-module and mean-interp training curves bit-identical")
 

@@ -63,6 +63,9 @@ class TestConvInputGradientBytes:
         assert dx.tobytes() == want_dx.tobytes()
         assert new.dw.tobytes() == want_dw.tobytes()
         assert new.db.tobytes() == want_db.tobytes()
+        # db sums dy's rows one at a time, in row order
+        rows = np.add.accumulate(dy.reshape(-1, cout), axis=0)
+        assert new.db.tobytes() == rows[-1].tobytes()
         if isinstance(new.padding, PaddingModule):
             assert (new.padding.filters.weights.tobytes()
                     == old.padding.filters.weights.tobytes())
@@ -277,6 +280,18 @@ class TestEvalMode:
         layer, x = self._layer(name)
         y = layer.forward(x)
         layer.eval().train()
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(y))
+
+    # an input each layer refuses: a channel short, an odd side, a feature short
+    REFUSED = {"conv": (2, 6, 6, 2), "pool": (2, 5, 6, 3), "dense": (2, 11)}
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_raising_forward_drops_the_cache(self, name):
+        layer, x = self._layer(name)
+        y = layer.forward(x)
+        with pytest.raises(ValueError):
+            layer.forward(np.ones(self.REFUSED[name], dtype=np.float32))
         with pytest.raises(RuntimeError):
             layer.backward(np.ones_like(y))
 

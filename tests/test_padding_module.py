@@ -497,6 +497,36 @@ class TestInvariants:
                 assert got[n, :, :, c].tobytes() == want.tobytes()
 
 
+class TestInterior:
+    """conftest's `interior`, which crops the padded rings back off."""
+
+    def test_central_slice(self):
+        t = np.arange(36.0).reshape(6, 6)
+        assert np.array_equal(interior(t, 1), t[1:5, 1:5])
+
+    def test_margin_two(self):
+        t = np.arange(64.0).reshape(8, 8)
+        got = interior(t, 2)
+        assert got.shape == (4, 4)
+        assert np.array_equal(got, t[2:6, 2:6])
+
+    def test_margin_too_large(self):
+        with pytest.raises(ValueError):
+            interior(np.ones((4, 4)), 2)
+
+    def test_channels_preserved(self):
+        t = np.arange(48.0).reshape(4, 4, 3)
+        assert np.array_equal(interior(t, 1), t[1:3, 1:3, :])
+        b = np.arange(96.0).reshape(2, 4, 4, 3)
+        assert np.array_equal(interior(b, 1), b[:, 1:3, 1:3, :])
+
+    def test_returns_copy(self):
+        t = np.zeros((4, 4))
+        sub = interior(t, 1)
+        sub[0, 0] = 7
+        assert t[1, 1] == 0
+
+
 class TestWeightsFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

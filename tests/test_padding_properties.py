@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from conftest import interior
 from padding_reference import local_mse_and_grad, pad_plane
 from padlearn.padding_module import PaddingModule
 
@@ -141,6 +142,21 @@ def test_supervision_mse_matches_reference(case):
     assert got == pytest.approx(mse.mean(), rel=1e-12)
     assert np.array_equal(mod.filters.weights, weights)
     assert mod.cache is None
+
+
+@pytest.mark.parametrize("margin", [1, 2, 3])
+@given(data=st.data())
+def test_pad_interior_round_trip(margin, data):
+    # `padlearn pad --method module`: a frozen module with drawn filters
+    x4, weights, ndim = data.draw(batches(margin + 1))
+    t = as_rank(x4, ndim)
+    out = module_for(weights, margin).freeze().forward(t)
+    spatial = 1 if t.ndim == 4 else 0
+    want = list(t.shape)
+    want[spatial] += 2 * margin
+    want[spatial + 1] += 2 * margin
+    assert out.shape == tuple(want)
+    assert interior(out, margin).tobytes() == t.astype(out.dtype).tobytes()
 
 
 class ModuleStateMachine(RuleBasedStateMachine):
