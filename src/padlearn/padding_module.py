@@ -11,8 +11,8 @@ corners average the two predictions (horizontal and vertical) that meet
 there.
 
 On the way back, gradients arriving for the padded rings are discarded:
-``backward`` updates the filters from the cached supervision pair and passes
-only the interior gradient to the previous layer.
+``backward`` steps the filters with the gradient the train-mode forward
+cached and passes only the interior gradient to the previous layer.
 
 :class:`PaddingModule` runs this math as one batched kernel over a whole
 (N, H, W, C) batch and all channels at once. The kernel is the only
@@ -168,11 +168,10 @@ def _pair_stats(weights, x):
 class PaddingModule:
     """Learnable padding layer for (H,W), (H,W,C) or (N,H,W,C) inputs.
 
-    In train mode, ``forward`` caches a reference to the original input, not
-    a copy; ``backward`` then updates the filters from the supervision pair
-    it reads out of that input, and strips the padded-ring gradients,
-    returning only the interior. An input changed in place between the two
-    calls changes the update. In eval mode ``forward`` is pure and
+    In train mode, ``forward`` caches the local MSE and filter gradient of
+    the original input's supervision pairs; ``backward`` then steps the
+    filters with that gradient and strips the padded-ring gradients,
+    returning only the interior. In eval mode ``forward`` is pure and
     ``backward`` only strips. Switching to eval mode drops the cache, and so
     does a ``forward`` that raises, so a later train-mode ``backward`` needs
     a new train-mode ``forward`` that succeeded.
@@ -265,8 +264,8 @@ class PaddingModule:
             )
         if self.mode == "train":
             # supervision comes from the original input only, never from
-            # already-padded rings; the update reads it as views of x
-            self.cache = x4
+            # already-padded rings
+            self.cache = (_pair_stats(self.filters.weights, x4), x4.shape)
         return self._as_rank(out, ndim)
 
     # -- local training -------------------------------------------------------
@@ -285,14 +284,14 @@ class PaddingModule:
         return float(mse.mean())
 
     def local_update(self):
-        """One SGD step on the filters from the cached supervision.
+        """One SGD step on the filters with the gradient forward cached.
 
-        The per-channel gradient is averaged over the batch the cached
-        input holds; the cache is consumed, also by a step that raises.
+        The per-channel gradient is averaged over the batch of the last
+        train-mode forward; the cache is consumed, also by a step that raises.
         """
         if self.cache is None:
             raise RuntimeError("local_update without a train-mode forward")
-        mse, grad = _pair_stats(self.filters.weights, self.cache)
+        (mse, grad), _ = self.cache
         self.cache = None
         self.last_local_mse = float(mse.mean())
         self.filters.step(grad)
@@ -310,7 +309,7 @@ class PaddingModule:
         if self.mode == "train":
             if self.cache is None:
                 raise RuntimeError("backward without a train-mode forward")
-            n, h, w, c = self.cache.shape
+            n, h, w, c = self.cache[1]
             padded = (n, h + 2 * self.pad_size, w + 2 * self.pad_size, c)
             if g is not None and g4.shape != padded:
                 raise ValueError(

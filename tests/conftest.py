@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from padlearn.data_io import load_cifar10_dir
 from padlearn.padding_module import PaddingModule
@@ -38,16 +39,26 @@ def batch64(cifar_dir):
     return x
 
 
-def random_module(channels, seed, **kwargs):
-    """A PaddingModule whose filters are float32 uniform(-0.1, 0.1) draws of
-    ``default_rng(seed)``, in place of the mean filter it starts as."""
-    module = PaddingModule(channels, **kwargs)
-    module.filters.weights = (np.random.default_rng(seed)
-                              .uniform(-0.1, 0.1, (channels, 3)).astype(np.float32))
+def module_with(filters, channels=1, **kwargs):
+    """A PaddingModule with the given filters: one 3-tap filter, tiled in
+    float64 over ``channels``, or a copy of a (C, 3) bank, which sets C."""
+    filters = np.asarray(filters)
+    if filters.ndim == 1:
+        filters = np.tile(filters.astype(np.float64), (channels, 1))
+    module = PaddingModule(filters.shape[0], **kwargs)
+    module.filters.weights = filters.copy()
     return module
 
 
+def random_module(channels, seed, **kwargs):
+    """A PaddingModule whose filters are float32 uniform(-0.1, 0.1) draws of
+    ``default_rng(seed)``, in place of the mean filter it starts as."""
+    rng = np.random.default_rng(seed)
+    return module_with(rng.uniform(-0.1, 0.1, (channels, 3)).astype(np.float32), **kwargs)
+
+
 M4 = np.arange(1.0, 17.0).reshape(4, 4)
+IDENTITY = (0.0, 1.0, 0.0)
 
 
 @pytest.fixture
@@ -56,32 +67,8 @@ def m4():
     return M4.copy()
 
 
-def interior(t, margin):
-    """Centered copy of (H, W), (H, W, C) or (N, H, W, C) `t` with `margin`
-    rows and columns removed from each side of the spatial axes.
-
-    Values are copied bit-exactly. Both spatial dims must exceed 2*margin.
-    """
-    t = np.asarray(t)
-    m = int(margin)
-    if m < 1:
-        raise ValueError(f"margin must be >= 1, got {margin}")
-    if t.ndim not in (2, 3, 4):
-        raise ValueError(f"expected a 2-D..4-D tensor, got ndim={t.ndim}")
-    batch = (slice(None),) if t.ndim == 4 else ()
-    h, w = t.shape[len(batch) : len(batch) + 2]
-    if h <= 2 * m or w <= 2 * m:
-        raise ValueError(f"margin {m} too large for spatial shape {(h, w)}")
-    return t[batch + (slice(m, h - m), slice(m, w - m))].copy()
-
-
-try:
-    from hypothesis import settings
-except ImportError:  # the property tests skip themselves without hypothesis
-    pass
-else:
-    # derandomized and without an example database: every run draws the
-    # same examples, so tier-1 stays reproducible; no deadline, since a
-    # loaded host can stall any example
-    settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
-    settings.load_profile("tier1")
+# derandomized and without an example database: every run draws the same
+# examples, so tier-1 stays reproducible; no deadline, since a loaded host
+# can stall any example
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")

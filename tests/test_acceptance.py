@@ -12,17 +12,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import random_module
+from conftest import IDENTITY, M4, module_with, random_module
 from padlearn.data_io import (load_cifar10_batch, load_cifar10_dir, read_metrics_csv,
                               write_metrics_csv, write_ppm)
 from padlearn.nn.gradcheck import module_gradient_suite
 from padlearn.nn.network import NetworkSpec
 from padlearn.nn.train import train
-from padlearn.padding_module import (PaddingModule, _pair_stats, _pairs, _predict,
-                                     _reflected, _taps, load_weights, save_weights)
-
-M4 = np.arange(1.0, 17.0).reshape(4, 4)
-IDENTITY = np.array([[0.0, 1.0, 0.0]])
+from padlearn.padding_module import (_pair_stats, _pairs, _predict, _reflected, _taps,
+                                     load_weights, save_weights)
 
 
 def report(num, name, ok, detail=""):
@@ -30,13 +27,6 @@ def report(num, name, ok, detail=""):
     line = f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'}{suffix}"
     print("\n" + line)
     assert ok, line
-
-
-def make_module(weights, channels=1, pad_size=1, **kwargs):
-    mod = PaddingModule(channels, pad_size=pad_size, **kwargs)
-    mod.filters.weights = np.tile(np.asarray(weights, dtype=np.float64),
-                                  (channels, 1))
-    return mod
 
 
 def as_lists(*pairs):
@@ -66,8 +56,9 @@ def test_criterion_02_gradient_suite():
 
 def test_criterion_03_worked_loss_oracle():
     x = M4[None, :, :, None]
-    mean = _pair_stats(IDENTITY, x)[0][0]
-    taps = _taps(IDENTITY, np.float64, 4)
+    identity = np.array([IDENTITY])
+    mean = _pair_stats(identity, x)[0][0]
+    taps = _taps(identity, np.float64, 4)
     total = sum(float(np.sum((_predict(taps, rows)[0] - target) ** 2))
                 for target, rows in _pairs(x))
     report(3, "worked-loss oracle", mean == 25.5 and total == 408.0 == 16 * mean,
@@ -77,12 +68,12 @@ def test_criterion_03_worked_loss_oracle():
 def test_criterion_04_forward_oracle():
     ok = True
     for size in (1, 2, 3):
-        mod = make_module([0.0, 1.0, 0.0], pad_size=size).eval()
+        mod = module_with(IDENTITY, pad_size=size).eval()
         out = mod.forward(np.full((3, 3), 5.0))
         side = 3 + 2 * size
         ok = ok and out.shape == (side, side) and bool(np.all(out == 5.0))
 
-    mod = make_module([1.0 / 3.0] * 3).eval()
+    mod = module_with([1.0 / 3.0] * 3).eval()
     out = mod.forward(np.full((3, 3), 5.0))
     third = np.float64(1.0) / 3
     end = third * 0.0 + third * 5.0 + third * 5.0  # same order as the filter slide
@@ -99,7 +90,7 @@ def test_criterion_05_backward_contract():
     rng = np.random.default_rng(5)
     ok = True
     for size in (1, 2, 3):
-        mod = make_module([0.2, 0.5, 0.3], channels=2, pad_size=size)
+        mod = module_with([0.2, 0.5, 0.3], channels=2, pad_size=size)
         x = rng.uniform(size=(2, 9, 8, 2))
         out = mod.forward(x)
         g = rng.uniform(size=out.shape)
@@ -107,19 +98,19 @@ def test_criterion_05_backward_contract():
         ok = ok and bool(np.array_equal(got, g[:, size:-size, size:-size, :]))
 
     # filters change iff train mode with cache present
-    mod = make_module([0.9, -0.2, 0.1])
+    mod = module_with([0.9, -0.2, 0.1])
     before = mod.filters.weights.copy()
     out = mod.forward(rng.uniform(size=(6, 6)))
     mod.backward(rng.uniform(size=out.shape))
     changed_in_train = not np.array_equal(mod.filters.weights, before)
 
-    mod_eval = make_module([0.9, -0.2, 0.1]).eval()
+    mod_eval = module_with([0.9, -0.2, 0.1]).eval()
     before = mod_eval.filters.weights.copy()
     out = mod_eval.forward(rng.uniform(size=(6, 6)))
     mod_eval.backward(rng.uniform(size=out.shape))
     unchanged_in_eval = np.array_equal(mod_eval.filters.weights, before)
 
-    mod_nocache = make_module([0.9, -0.2, 0.1])
+    mod_nocache = module_with([0.9, -0.2, 0.1])
     try:
         mod_nocache.backward(np.ones((6, 6)))
         raises_without_forward = False

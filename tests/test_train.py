@@ -104,21 +104,6 @@ class TestFreeze:
                                   np.full_like(m.filters.weights, 1.0 / 3.0))
 
 
-class TestDifferentialAnchor:
-    def test_frozen_module_matches_meaninterp(self, small_dataset):
-        x, y, xt, yt = small_dataset
-        net_m, rep_m = train(NetworkSpec(padding="module", positions="all"),
-                             x, y, xt, yt, epochs=2, batch_size=64, seed=0,
-                             learning_rate=1e-3, freeze_after=0)
-        net_i, rep_i = train(NetworkSpec(padding="meaninterp", positions="all"),
-                             x, y, xt, yt, epochs=2, batch_size=64, seed=0,
-                             learning_rate=1e-3)
-        for rm, ri in zip(rep_m.rows, rep_i.rows):
-            assert (rm.loss, rm.accuracy) == (ri.loss, ri.accuracy)
-        for pm, pi in zip(net_m.params(), net_i.params()):
-            assert np.array_equal(pm, pi)
-
-
 def test_evaluate_matches_manual(cifar_dir):
     # 300 images: whole chunks and a partial one
     _, (xt, yt) = load_cifar10_dir(cifar_dir, train_limit=1, test_limit=300)
