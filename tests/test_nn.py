@@ -3,7 +3,8 @@ import pytest
 
 from conv_reference import conv_backward as reference_conv_backward
 from conftest import random_module
-from padlearn.nn.gradcheck import layer_gradient_suite, numeric_grad, rel_err
+from padlearn.nn.gradcheck import (layer_gradient_suite, module_gradient_suite,
+                                   numeric_grad, rel_err)
 from padlearn.nn.layers import (Conv2D, Dense, Flatten, MaxPool2x2, ReLU,
                                 ZeroPad, softmax_xent)
 from padlearn.nn.network import Network, NetworkSpec, PLACEMENTS, build_tiny4
@@ -450,6 +451,10 @@ class TestGradChecks:
         x = np.array([1.0, 2.0, 3.0])
         numeric = numeric_grad(lambda: float(np.sum((x - center) ** 2)), x)
         assert rel_err(2 * (x - center), numeric) < 1e-9
+
+    def test_module_loss_gradients(self):
+        report = module_gradient_suite(trials=20, seed=1)
+        assert report.max_rel_err <= 1e-6, report.summary(1e-6)
 
     def test_layer_gradients(self):
         report = layer_gradient_suite(seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import IDENTITY, module_with, random_module
-from padding_reference import local_mse_and_grad, slide
+from padding_reference import local_mse_and_grad, pad_plane, slide
 from padlearn.padding_module import (FilterBank, PaddingModule, _pair_stats,
                                      load_weights, save_weights)
 
@@ -62,8 +62,61 @@ class TestExtractBorders:
                                 [3, 3, 4, 4],
                                 [2.5, 3, 4, 2.5]]
 
+    def test_undersized(self):
+        with pytest.raises(ValueError):
+            module_with(IDENTITY).eval().forward(np.ones((1, 5)))
+
+
+class TestPredictBorders:
+    def test_channel_out_of_range(self):
+        # channel 1 has no filter in a one-filter bank, which would
+        # otherwise broadcast over both channels
+        with pytest.raises(ValueError):
+            module_with(IDENTITY).eval().forward(np.ones((4, 4, 2)))
+
 
 class TestForward:
+    def test_shape_law(self):
+        mod = module_with(MEAN, channels=3, pad_size=2).eval()
+        out = mod.forward(np.zeros((32, 32, 3)))
+        assert out.shape == (36, 36, 3)
+
+    def test_identity_constant_multi_ring(self):
+        mod = module_with(IDENTITY, pad_size=3).eval()
+        out = mod.forward(np.full((3, 3), 5.0))
+        assert out.shape == (9, 9)
+        assert np.all(out == 5.0)
+
+    def test_train_forward_keeps_supervision(self, m4):
+        theta = (0.1, 0.7, 0.2)
+        mod = module_with(theta)
+        mod.eval()
+        mod.forward(m4)
+        assert mod.cache is None
+        mod.train()
+        mod.forward(m4)
+        assert mod.cache is not None
+        steps = []
+        mod.filters.step = steps.append
+        mod.local_update()
+        mse, grad = local_mse_and_grad(m4, theta)
+        np.testing.assert_allclose(steps[0][0], grad, rtol=1e-12)
+        assert mod.last_local_mse == pytest.approx(mse, rel=1e-12)
+        assert mod.cache is None
+
+    def test_eval_mode_does_not_cache(self, m4):
+        mod = module_with(IDENTITY).eval()
+        mod.forward(m4)
+        assert mod.cache is None
+
+    def test_eval_forward_clears_stale_cache(self, m4):
+        mod = module_with(IDENTITY)
+        mod.forward(m4)
+        assert mod.cache is not None
+        mod.eval()
+        mod.forward(m4)
+        assert mod.cache is None
+
     def test_train_needs_4(self):
         mod = module_with(IDENTITY)
         with pytest.raises(ValueError):
@@ -79,12 +132,6 @@ class TestForward:
         mod = module_with(IDENTITY, channels=3)
         with pytest.raises(ValueError):
             mod.forward(np.ones((4, 4, 2)))
-
-    def test_channel_out_of_range(self):
-        # channel 1 has no filter in a one-filter bank, which would
-        # otherwise broadcast over both channels
-        with pytest.raises(ValueError):
-            module_with(IDENTITY).eval().forward(np.ones((4, 4, 2)))
 
     def test_divergent_filters_flagged(self):
         mod = module_with((1e200, 1e200, 1e200), pad_size=3).eval()
@@ -160,6 +207,11 @@ class TestLocalUpdate:
         np.testing.assert_allclose(mod.filters.weights[0],
                                    before[0] - 0.01 * ref_grad, rtol=1e-12)
 
+    def test_update_without_forward(self):
+        mod = module_with(IDENTITY)
+        with pytest.raises(RuntimeError):
+            mod.local_update()
+
     def test_repeated_updates_reduce_mse(self, batch64):
         mod = random_module(3, seed=9, learning_rate=0.005)
         losses = []
@@ -201,6 +253,37 @@ class TestLocalUpdate:
 
 
 class TestBackward:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_strip_is_bit_exact(self, size):
+        rng = np.random.default_rng(size)
+        mod = module_with(MEAN, channels=2, pad_size=size)
+        x = rng.uniform(size=(3, 8, 9, 2))
+        out = mod.forward(x)
+        g = rng.uniform(size=out.shape)
+        got = mod.backward(g)
+        assert np.array_equal(got, g[:, size:-size, size:-size, :])
+
+    def test_eval_mode_leaves_filters(self):
+        rng = np.random.default_rng(1)
+        mod = module_with(MEAN).eval()
+        out = mod.forward(rng.uniform(size=(6, 6)))
+        before = mod.filters.weights.copy()
+        mod.backward(rng.uniform(size=out.shape))
+        assert np.array_equal(mod.filters.weights, before)
+
+    def test_train_mode_updates_filters(self):
+        rng = np.random.default_rng(2)
+        mod = module_with((0.9, -0.2, 0.1))
+        out = mod.forward(rng.uniform(size=(6, 6)))
+        before = mod.filters.weights.copy()
+        mod.backward(rng.uniform(size=out.shape))
+        assert not np.array_equal(mod.filters.weights, before)
+
+    def test_backward_without_forward(self):
+        mod = module_with(MEAN)
+        with pytest.raises(RuntimeError):
+            mod.backward(np.ones((6, 6)))
+
     def test_shape_mismatch(self):
         # the update is refused whole: the filters stay and the cache is
         # kept, so a correct gradient afterwards still updates
@@ -233,7 +316,58 @@ class TestBackward:
         assert np.array_equal(mod.filters.weights, before)
 
 
+class TestInvariants:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_shape_law_random(self, size):
+        rng = np.random.default_rng(size * 7)
+        for _ in range(5):
+            h, w = (int(v) for v in rng.integers(4, 17, size=2))
+            mod = module_with(MEAN, channels=3, pad_size=size)
+            out = mod.forward(rng.uniform(size=(h, w, 3)))
+            assert out.shape == (h + 2 * size, w + 2 * size, 3)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_interior_preserved(self, size):
+        rng = np.random.default_rng(size)
+        x = (rng.uniform(size=(7, 11, 2)) * 100).astype(np.float32)
+        mod = random_module(2, seed=0, pad_size=size)
+        out = mod.forward(x)
+        assert np.array_equal(out[size:-size, size:-size, :], x)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_identity_filter_constancy(self, size):
+        mod = module_with(IDENTITY, pad_size=size).eval()
+        out = mod.forward(np.full((5, 6), 3.25))
+        assert np.all(out == 3.25)
+
+    def test_channel_permutation_commutes(self):
+        rng = np.random.default_rng(42)
+        x = rng.uniform(size=(8, 8, 4))
+        weights = rng.uniform(-1, 1, size=(4, 3))
+        perm = np.array([2, 0, 3, 1])
+        base = module_with(weights).eval().forward(x)
+        permuted = module_with(weights[perm]).eval().forward(x[:, :, perm])
+        assert np.array_equal(permuted, base[:, :, perm])
+
+    def test_batched_matches_composed_2d_ops(self):
+        rng = np.random.default_rng(77)
+        x = rng.uniform(size=(3, 6, 9, 2))
+        weights = rng.uniform(-1, 1, size=(2, 3))
+        got = module_with(weights, pad_size=2).eval().forward(x)
+        for n in range(3):
+            for c in range(2):
+                want = pad_plane(x[n, :, :, c], weights[c], 2)
+                assert got[n, :, :, c].tobytes() == want.tobytes()
+
+
 class TestWeightsFile:
+    def test_round_trip(self, tmp_path):
+        rng = np.random.default_rng(0)
+        weights = rng.uniform(-1, 1, size=(5, 3)).astype(np.float32)
+        path = tmp_path / "bank.padmod"
+        save_weights(path, weights)
+        assert np.array_equal(load_weights(path), weights)
+
     def test_layout(self, tmp_path):
         path = tmp_path / "bank.padmod"
         save_weights(path, np.array([[1.0, 2.0, 3.0]], dtype=np.float32))

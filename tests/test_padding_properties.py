@@ -137,6 +137,22 @@ def test_supervision_mse_matches_reference(case):
     assert mod.cache is None
 
 
+@pytest.mark.parametrize("margin", [1, 2, 3])
+@given(data=st.data())
+def test_pad_interior_round_trip(margin, data):
+    # `padlearn pad --method module`: a frozen module with drawn filters
+    x4, weights, ndim = data.draw(batches(margin + 1))
+    t = as_rank(x4, ndim)
+    out = module_with(weights, pad_size=margin).freeze().forward(t)
+    spatial = 1 if t.ndim == 4 else 0
+    want = list(t.shape)
+    want[spatial] += 2 * margin
+    want[spatial + 1] += 2 * margin
+    assert out.shape == tuple(want)
+    crop = (slice(None),) * spatial + (slice(margin, -margin),) * 2
+    assert out[crop].tobytes() == t.astype(out.dtype).tobytes()
+
+
 class ModuleStateMachine(RuleBasedStateMachine):
     """One module through any sequence of mode switches, passes and updates.
 
