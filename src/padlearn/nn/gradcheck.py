@@ -25,28 +25,6 @@ class GradCheckCase:
     max_rel_err: float
 
 
-@dataclass
-class GradCheckReport:
-    cases: list
-
-    @property
-    def max_rel_err(self):
-        return max(c.max_rel_err for c in self.cases)
-
-    @property
-    def worst(self):
-        return max(self.cases, key=lambda c: c.max_rel_err)
-
-    def passed(self, tol):
-        return self.max_rel_err <= tol
-
-    def summary(self, tol):
-        worst = self.worst
-        status = "PASS" if self.passed(tol) else "FAIL"
-        return (f"{status}: {len(self.cases)} gradient checks, max rel err "
-                f"{self.max_rel_err:.3e} (worst: {worst.name}) vs tol {tol:g}")
-
-
 def rel_err(analytic, numeric):
     """Per-component |a-n| / max(|a|, |n|); exact zeros agree exactly."""
     a = np.asarray(analytic, dtype=np.float64)
@@ -95,7 +73,7 @@ def module_gradient_suite(trials=100, seed=0):
         numeric = numeric_grad(lambda: _pair_stats(weights, x)[0][0], weights)
         cases.append(GradCheckCase(f"filter_loss[{trial}] {h}x{w}",
                                    rel_err(analytic, numeric)))
-    return GradCheckReport(cases)
+    return cases
 
 
 def _fresh_sample(rng, shape, scale=1.0):
@@ -107,20 +85,33 @@ def layer_gradient_suite(seed=0):
     rng = np.random.default_rng(seed)
     cases = []
 
-    def probe(name, layer, x, readout):
-        # the layer's parameters, then its input, under a linear readout
-        fn = lambda: float(np.sum(layer.forward(x) * readout))
-        fn()
-        dx = layer.backward(readout)
-        checks = [(f"{name}.{p}", param, grad)
+    def probe(named_layers, x, loss, x_name):
+        # forward the chain, backprop `loss`'s gradient, then check each
+        # named layer's parameters in forward order and the input
+        def fwd():
+            h = x
+            for _, layer in named_layers:
+                h = layer.forward(h)
+            return h
+
+        fn = lambda: loss(fwd())[0]
+        dy = loss(fwd())[1]
+        for _, layer in reversed(named_layers):
+            dy = layer.backward(dy)
+        checks = [(f"{name}.{p}", param, grad) for name, layer in named_layers
                   for p, param, grad in zip("wb", layer.params(), layer.grads())]
-        cases.extend(finite_diff_check(fn, checks + [(f"{name}.x", x, dx)]))
+        cases.extend(finite_diff_check(fn, checks + [(x_name, x, dy)]))
+
+    def readout(weights):
+        # a linear readout: its gradient is the weights themselves
+        return lambda out: (float(np.sum(out * weights)), weights)
 
     # conv with zero padding attached
-    probe("conv", Conv2D(2, 3, ZeroPad(1), rng=rng, dtype=np.float64),
-          _fresh_sample(rng, (2, 6, 6, 2)), _fresh_sample(rng, (2, 6, 6, 3)))
-    probe("dense", Dense(7, 5, rng=rng, dtype=np.float64),
-          _fresh_sample(rng, (4, 7)), _fresh_sample(rng, (4, 5)))
+    probe([("conv", Conv2D(2, 3, ZeroPad(1), rng=rng, dtype=np.float64))],
+          _fresh_sample(rng, (2, 6, 6, 2)),
+          readout(_fresh_sample(rng, (2, 6, 6, 3))), "conv.x")
+    probe([("dense", Dense(7, 5, rng=rng, dtype=np.float64))],
+          _fresh_sample(rng, (4, 7)), readout(_fresh_sample(rng, (4, 5))), "dense.x")
 
     # maxpool: resample until every 2x2 block is comfortably tie-free
     for attempt in range(50):
@@ -129,53 +120,31 @@ def layer_gradient_suite(seed=0):
         top2 = np.sort(blocks, axis=1)[:, -2:]
         if (top2[:, 1] - top2[:, 0]).min() > 100 * STEP:
             break
-    probe("maxpool", MaxPool2x2(), xp, _fresh_sample(rng, (2, 2, 2, 3)))
+    probe([("maxpool", MaxPool2x2())], xp,
+          readout(_fresh_sample(rng, (2, 2, 2, 3))), "maxpool.x")
 
     # relu away from the kink
     for attempt in range(50):
         xr = _fresh_sample(rng, (3, 9))
         if np.abs(xr).min() > 100 * STEP:
             break
-    probe("relu", ReLU(), xr, _fresh_sample(rng, (3, 9)))
+    probe([("relu", ReLU())], xr, readout(_fresh_sample(rng, (3, 9))), "relu.x")
 
     # softmax cross-entropy
     logits = _fresh_sample(rng, (5, 10), scale=2.0)
     labels = rng.integers(0, 10, size=5)
-    fn = lambda: softmax_xent(logits, labels)[0]
-    _, dlogits = softmax_xent(logits, labels)
-    cases += finite_diff_check(fn, [("softmax_xent.logits", logits, dlogits)])
+    probe([], logits, lambda out: softmax_xent(out, labels), "softmax_xent.logits")
 
     # end-to-end: conv-relu-pool-flatten-dense with cross-entropy loss
     for attempt in range(50):
         net_rng = np.random.default_rng(seed + 1000 + attempt)
-        conv2 = Conv2D(2, 4, ZeroPad(1), rng=net_rng, dtype=np.float64)
-        dense2 = Dense(4 * 4 * 4, 10, rng=net_rng, dtype=np.float64)
-        layers = [conv2, ReLU(), MaxPool2x2(), Flatten(), dense2]
+        conv = Conv2D(2, 4, ZeroPad(1), rng=net_rng, dtype=np.float64)
+        dense = Dense(4 * 4 * 4, 10, rng=net_rng, dtype=np.float64)
         xe = np.abs(_fresh_sample(net_rng, (2, 8, 8, 2)))
         ye = net_rng.integers(0, 10, size=2)
-
-        def fwd():
-            h = xe
-            for layer in layers:
-                h = layer.forward(h)
-            return h
-
-        preact = conv2.forward(xe)
-        if np.abs(preact).min() > 100 * STEP:
+        if np.abs(conv.forward(xe)).min() > 100 * STEP:
             break
-    fn = lambda: softmax_xent(fwd(), ye)[0]
-    _, dy = softmax_xent(fwd(), ye)
-    for layer in reversed(layers):
-        dy = layer.backward(dy)
-    cases += finite_diff_check(fn, [("net.conv.w", conv2.w, conv2.dw),
-                                    ("net.conv.b", conv2.b, conv2.db),
-                                    ("net.dense.w", dense2.w, dense2.dw),
-                                    ("net.dense.b", dense2.b, dense2.db),
-                                    ("net.x", xe, dy)])
-
-    return GradCheckReport(cases)
-
-
-def full_suite(trials=100, seed=0):
-    report = module_gradient_suite(trials=trials, seed=seed)
-    return GradCheckReport(report.cases + layer_gradient_suite(seed).cases)
+    probe([("net.conv", conv), ("net.relu", ReLU()), ("net.pool", MaxPool2x2()),
+           ("net.flatten", Flatten()), ("net.dense", dense)],
+          xe, lambda out: softmax_xent(out, ye), "net.x")
+    return cases

@@ -9,7 +9,6 @@ reused every epoch so no randomness enters the epoch loop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +16,6 @@ from ..data_io import MetricsRow
 from .layers import softmax_xent
 from .network import build_tiny4
 from .optim import Adam
-
-
-@dataclass
-class TrainReport:
-    rows: list
-
-    @property
-    def last5_mean_test_accuracy(self):
-        accs = [r.accuracy for r in self.rows if r.split == "test"]
-        return float(np.mean(accs[-5:]))
 
 
 # the eval chunk is the training batch size: with 256-image chunks a pass
@@ -52,11 +41,18 @@ def evaluate(net, x, y):
     return loss_sum / n, correct / n
 
 
+def last5_mean_test_accuracy(rows):
+    """Mean test accuracy over the last five epochs of `train`'s rows."""
+    accs = [r.accuracy for r in rows if r.split == "test"]
+    return float(np.mean(accs[-5:]))
+
+
 def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
           learning_rate, freeze_after=None, log=None):
-    """Train tiny4 per `spec`; returns the per-epoch metric rows.
+    """Train tiny4 per `spec`; returns `(net, rows)`, the trained network
+    and a train row and a test row of metrics per epoch.
 
-    `freeze_after=k` stops the padding modules' own training after epoch k
+    `freeze_after=k` freezes the padding modules at the start of epoch k+1
     (0 freezes them from the start); their last mean squared error is then
     carried forward in the metrics.
     """
@@ -67,18 +63,17 @@ def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
     perm = np.random.default_rng(seed).permutation(len(x_train))
     batches = [perm[i : i + batch_size] for i in range(0, len(perm), batch_size)]
 
-    if freeze_after is not None and freeze_after <= 0:
-        for m in net.modules:
-            m.freeze()
-
     rows = []
     for epoch in range(1, epochs + 1):
+        # the modules freeze together, so they train for all of an epoch or none
+        frozen = freeze_after is not None and epoch > freeze_after
+        if frozen:
+            for m in net.modules:
+                m.freeze()
         net.train()
         epoch_start = time.perf_counter()
         loss_sum = 0.0
         correct = 0
-        # the modules freeze together, so they train for all of an epoch or none
-        frozen = any(m.frozen for m in net.modules)
         mse_sums = [0.0] * len(net.modules)
         for b, idx in enumerate(batches):
             xb = x_train[idx]
@@ -115,8 +110,5 @@ def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
             log(f"epoch {epoch:3d}  train_loss {loss_sum / len(x_train):.4f}  "
                 f"train_acc {correct / len(x_train):.4f}  test_acc {test_acc:.4f}  "
                 f"module_mse {module_mse:.6g}  {train_seconds:.1f}s")
-        if freeze_after is not None and epoch == freeze_after:
-            for m in net.modules:
-                m.freeze()
 
-    return net, TrainReport(rows=rows)
+    return net, rows

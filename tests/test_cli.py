@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -208,7 +209,16 @@ class TestGradcheckCommand:
     def test_fails_at_impossible_tolerance(self, capsys):
         assert main(["gradcheck", "--trials", "5", "--tol", "1e-12",
                      "--seed", "3"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        header, *listed = capsys.readouterr().out.splitlines()
+        # 5 filter-loss trials and the 14 layer cases
+        found = re.fullmatch(r"FAIL: 19 gradient checks, max rel err (\S+) "
+                             r"\(worst: (\S+)\) vs tol 1e-12", header)
+        assert found
+        assert len(listed) == 5
+        cases = [re.fullmatch(r"  (.+): rel err (\S+)", line).groups() for line in listed]
+        errs = [float(err) for _, err in cases]
+        assert errs == sorted(errs, reverse=True)
+        assert cases[0] == (found[2], found[1])
 
     def test_deterministic_output(self, capsys):
         main(["gradcheck", "--trials", "5", "--seed", "11"])

@@ -453,15 +453,15 @@ class TestGradChecks:
         assert rel_err(2 * (x - center), numeric) < 1e-9
 
     def test_module_loss_gradients(self):
-        report = module_gradient_suite(trials=20, seed=1)
-        assert report.max_rel_err <= 1e-6, report.summary(1e-6)
+        worst = max(module_gradient_suite(trials=20, seed=1), key=lambda c: c.max_rel_err)
+        assert worst.max_rel_err <= 1e-6, worst
 
     def test_layer_gradients(self):
-        report = layer_gradient_suite(seed=0)
-        assert report.max_rel_err <= 1e-5, report.summary(1e-5)
+        worst = max(layer_gradient_suite(seed=0), key=lambda c: c.max_rel_err)
+        assert worst.max_rel_err <= 1e-5, worst
 
     def test_layer_suite_case_list(self):
-        assert [c.name for c in layer_gradient_suite().cases] == [
+        assert [c.name for c in layer_gradient_suite()] == [
             "conv.w", "conv.b", "conv.x", "dense.w", "dense.b", "dense.x",
             "maxpool.x", "relu.x", "softmax_xent.logits", "net.conv.w",
             "net.conv.b", "net.dense.w", "net.dense.b", "net.x",

@@ -132,6 +132,9 @@ class TestForward:
         mod = module_with(IDENTITY, channels=3)
         with pytest.raises(ValueError):
             mod.forward(np.ones((4, 4, 2)))
+        # a 5-D input is refused by its rank, though its axis 3 matches
+        with pytest.raises(ValueError, match="2-D..4-D"):
+            mod.forward(np.ones((1, 4, 4, 3, 3)))
 
     def test_divergent_filters_flagged(self):
         mod = module_with((1e200, 1e200, 1e200), pad_size=3).eval()
@@ -375,6 +378,11 @@ class TestWeightsFile:
         assert blob[:8] == b"PADMOD1\n"
         assert blob[8:12] == (1).to_bytes(4, "little")
         assert np.array_equal(np.frombuffer(blob[12:], dtype="<f4"), [1, 2, 3])
+        # a bank of other than 3 weights per channel does not fit the layout
+        bad = tmp_path / "bad.padmod"
+        with pytest.raises(ValueError, match="expected"):
+            save_weights(bad, np.ones((2, 4)))
+        assert not bad.exists()
 
     def test_bad_magic(self, tmp_path):
         # long enough for a header and payload, so only the magic is wrong

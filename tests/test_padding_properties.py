@@ -108,6 +108,7 @@ def test_backward_strips_bit_exact(case):
     want = g[s:-s, s:-s] if ndim == 2 else g[..., s:-s, s:-s, :]
     assert got.shape == as_rank(x4, ndim).shape
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert not np.shares_memory(got, g)
     assert np.array_equal(mod.filters.weights, before) == (mode == "eval")
     assert mod.cache is None
 
@@ -135,22 +136,6 @@ def test_supervision_mse_matches_reference(case):
     assert got == pytest.approx(mse.mean(), rel=1e-12)
     assert np.array_equal(mod.filters.weights, weights)
     assert mod.cache is None
-
-
-@pytest.mark.parametrize("margin", [1, 2, 3])
-@given(data=st.data())
-def test_pad_interior_round_trip(margin, data):
-    # `padlearn pad --method module`: a frozen module with drawn filters
-    x4, weights, ndim = data.draw(batches(margin + 1))
-    t = as_rank(x4, ndim)
-    out = module_with(weights, pad_size=margin).freeze().forward(t)
-    spatial = 1 if t.ndim == 4 else 0
-    want = list(t.shape)
-    want[spatial] += 2 * margin
-    want[spatial + 1] += 2 * margin
-    assert out.shape == tuple(want)
-    crop = (slice(None),) * spatial + (slice(margin, -margin),) * 2
-    assert out[crop].tobytes() == t.astype(out.dtype).tobytes()
 
 
 class ModuleStateMachine(RuleBasedStateMachine):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from padlearn.nn.layers import Conv2D, softmax_xent
 from padlearn.nn.network import NetworkSpec, build_tiny4
 from padlearn.nn.optim import Adam
 from padlearn.nn.train import EVAL_BATCH, evaluate, train
+from padlearn.padding_module import PaddingModule
 
 
 @pytest.fixture(scope="module")
@@ -23,21 +26,21 @@ def run(small_dataset, epochs=2, freeze_after=None, **spec_kwargs):
 
 class TestTrainLoop:
     def test_report_structure(self, small_dataset):
-        _, report = run(small_dataset, padding="zero", epochs=3)
-        assert len(report.rows) == 6
-        train_rows = [r for r in report.rows if r.split == "train"]
-        test_rows = [r for r in report.rows if r.split == "test"]
+        _, rows = run(small_dataset, padding="zero", epochs=3)
+        assert len(rows) == 6
+        train_rows = [r for r in rows if r.split == "train"]
+        test_rows = [r for r in rows if r.split == "test"]
         assert [r.epoch for r in train_rows] == [1, 2, 3]
         assert [r.epoch for r in test_rows] == [1, 2, 3]
-        for r in report.rows:
+        for r in rows:
             assert 0.0 <= r.accuracy <= 1.0
             assert np.isfinite(r.loss)
             assert r.seconds >= 0.0
 
     def test_deterministic_given_seed(self, small_dataset):
-        net_a, rep_a = run(small_dataset, padding="module", positions="all")
-        net_b, rep_b = run(small_dataset, padding="module", positions="all")
-        for ra, rb in zip(rep_a.rows, rep_b.rows):
+        net_a, rows_a = run(small_dataset, padding="module", positions="all")
+        net_b, rows_b = run(small_dataset, padding="module", positions="all")
+        for ra, rb in zip(rows_a, rows_b):
             assert (ra.loss, ra.accuracy) == (rb.loss, rb.accuracy)
             assert ra.module_mse_mean == rb.module_mse_mean or (
                 np.isnan(ra.module_mse_mean) and np.isnan(rb.module_mse_mean))
@@ -53,9 +56,41 @@ class TestTrainLoop:
                                   np.full((3, 3), 1.0, dtype=np.float32) / 3)
 
     def test_learning_happens(self, small_dataset):
-        _, report = run(small_dataset, padding="zero", epochs=3)
-        train_rows = [r for r in report.rows if r.split == "train"]
+        _, rows = run(small_dataset, padding="zero", epochs=3)
+        train_rows = [r for r in rows if r.split == "train"]
         assert train_rows[-1].loss < train_rows[0].loss
+
+    def test_partial_last_batch_weighted_by_size(self, small_dataset, monkeypatch):
+        # 192 images at batch 80 train in steps of 80, 80 and 32; the epoch's
+        # loss and module MSE weight each step's value by its batch's size
+        losses, mses = [], []
+
+        def recording_xent(logits, labels):
+            out = softmax_xent(logits, labels)
+            losses.append((out[0], len(labels)))
+            return out
+
+        local_update = PaddingModule.local_update
+
+        def recording_update(module):
+            local_update(module)
+            mses.append(module.last_local_mse)
+
+        # the `padlearn.nn.train` attribute is the function, so look the module up
+        monkeypatch.setattr(sys.modules[train.__module__], "softmax_xent", recording_xent)
+        monkeypatch.setattr(PaddingModule, "local_update", recording_update)
+        x, y, xt, yt = small_dataset
+        _, rows = train(NetworkSpec(padding="module", positions="first"), x, y, xt, yt,
+                        epochs=1, batch_size=80, seed=0, learning_rate=1e-3)
+        steps = losses[:len(mses)]  # the eval pass's losses follow
+        sizes = [n for _, n in steps]
+        assert sizes == [80, 80, 32]
+        train_row = rows[0]
+        assert train_row.split == "train"
+        assert train_row.loss == pytest.approx(
+            sum(v * n for v, n in steps) / len(x), rel=1e-12)
+        assert train_row.module_mse_mean == pytest.approx(
+            sum(v * n for v, n in zip(mses, sizes)) / len(x), rel=1e-12)
 
     def test_module_mse_non_increasing_after_epoch_2(self, small_dataset):
         # derived from the pinned seeded run: the input-facing module's
@@ -63,9 +98,9 @@ class TestTrainLoop:
         # slightly (0.0070413 to 0.0070301 over five epochs)
         x, y, xt, yt = small_dataset
         spec = NetworkSpec(padding="module", positions="first")
-        _, report = train(spec, x, y, xt, yt, epochs=5, batch_size=64, seed=0,
-                          learning_rate=1e-3)
-        mse = [r.module_mse_mean for r in report.rows if r.split == "train"]
+        _, rows = train(spec, x, y, xt, yt, epochs=5, batch_size=64, seed=0,
+                        learning_rate=1e-3)
+        mse = [r.module_mse_mean for r in rows if r.split == "train"]
         assert all(b <= a for a, b in zip(mse[1:], mse[2:]))
 
     def test_empty_dataset_rejected(self):
@@ -86,11 +121,17 @@ class TestTrainLoop:
 
 class TestFreeze:
     def test_freeze_after_holds_mse_constant(self, small_dataset):
+        # the modules freeze at the start of epoch 3: they end as a 2-epoch
+        # run leaves them, and the frozen epochs carry the MSE forward
         x, y, xt, yt = small_dataset
         spec = NetworkSpec(padding="module", positions="first")
-        _, report = train(spec, x, y, xt, yt, epochs=4, batch_size=64, seed=0,
+        net, rows = train(spec, x, y, xt, yt, epochs=4, batch_size=64, seed=0,
                           learning_rate=1e-3, freeze_after=2)
-        mse = [r.module_mse_mean for r in report.rows if r.split == "train"]
+        two_epochs, _ = train(spec, x, y, xt, yt, epochs=2, batch_size=64, seed=0,
+                              learning_rate=1e-3)
+        assert np.array_equal(net.modules[0].filters.weights,
+                              two_epochs.modules[0].filters.weights)
+        mse = [r.module_mse_mean for r in rows if r.split == "train"]
         assert mse[2] == mse[3]
         assert np.isfinite(mse[0])
 
