@@ -18,8 +18,8 @@ from .nn.network import PADDINGS, PLACEMENTS, NetworkSpec
 from .nn.train import last5_mean_test_accuracy, train
 from .padding_module import PaddingModule, load_weights, save_weights
 
-# the `np.pad` mode of each fixed method; meaninterp is the frozen module
-# at its mean-filter start and module is the frozen module with filters
+# the `np.pad` mode of each fixed method; meaninterp is an eval-mode module
+# at its mean-filter start and module is an eval-mode module with filters
 # read from a weights file
 NP_PAD_MODES = {"zero": "constant", "reflect": "reflect", "replicate": "edge"}
 
@@ -95,7 +95,7 @@ def cmd_pad(args):
             )
         padded = np.pad(image, ((s, s), (s, s), (0, 0)), mode=NP_PAD_MODES[args.method])
     else:
-        module = PaddingModule(image.shape[2], pad_size=s).freeze()
+        module = PaddingModule(image.shape[2], pad_size=s).eval()
         if args.method == "module":
             if args.weights is None:
                 raise ValueError("--method module requires --weights")

@@ -49,16 +49,6 @@ def numeric_grad(fn, arr):
     return grad
 
 
-def finite_diff_check(fn, checks):
-    """Compare analytic gradients against central differences of `fn`.
-
-    `checks` is a list of (name, array, analytic_gradient); arrays are
-    perturbed in place and restored. Returns one GradCheckCase per check.
-    """
-    return [GradCheckCase(name, rel_err(analytic, numeric_grad(fn, arr)))
-            for name, arr, analytic in checks]
-
-
 def module_gradient_suite(trials=100, seed=0):
     """Filter-loss gradients of the padding kernel on random single-channel
     inputs and filters, double precision."""
@@ -100,7 +90,8 @@ def layer_gradient_suite(seed=0):
             dy = layer.backward(dy)
         checks = [(f"{name}.{p}", param, grad) for name, layer in named_layers
                   for p, param, grad in zip("wb", layer.params(), layer.grads())]
-        cases.extend(finite_diff_check(fn, checks + [(x_name, x, dy)]))
+        cases.extend(GradCheckCase(name, rel_err(analytic, numeric_grad(fn, arr)))
+                     for name, arr, analytic in checks + [(x_name, x, dy)])
 
     def readout(weights):
         # a linear readout: its gradient is the weights themselves

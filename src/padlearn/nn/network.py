@@ -97,7 +97,7 @@ def build_tiny4(spec, seed):
             return ZeroPad(1)
         module = PaddingModule(channels, pad_size=1, learning_rate=spec.module_lr)
         if spec.padding == "meaninterp":
-            return module.freeze()
+            return module.eval()
         modules.append(module)
         return module
 

@@ -52,9 +52,9 @@ def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
     """Train tiny4 per `spec`; returns `(net, rows)`, the trained network
     and a train row and a test row of metrics per epoch.
 
-    `freeze_after=k` freezes the padding modules at the start of epoch k+1
-    (0 freezes them from the start); their last mean squared error is then
-    carried forward in the metrics.
+    `freeze_after=k` holds the padding modules in eval mode from the start
+    of epoch k+1 (0 from the start), so their filters stop training; their
+    last mean squared error is then carried forward in the metrics.
     """
     if len(x_train) == 0:
         raise ValueError("empty training set")
@@ -67,10 +67,10 @@ def train(spec, x_train, y_train, x_test, y_test, epochs, batch_size, seed,
     for epoch in range(1, epochs + 1):
         # the modules freeze together, so they train for all of an epoch or none
         frozen = freeze_after is not None and epoch > freeze_after
+        net.train()
         if frozen:
             for m in net.modules:
-                m.freeze()
-        net.train()
+                m.eval()
         epoch_start = time.perf_counter()
         loss_sum = 0.0
         correct = 0

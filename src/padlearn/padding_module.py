@@ -179,8 +179,8 @@ class PaddingModule:
     ``forward`` allocates the padded output once, copies the input into its
     interior and writes each ring's predictions straight into it.
 
-    A frozen module keeps padding but stops collecting supervision and
-    updating its filters.
+    ``training`` is True in train mode, as on the network's layers; a
+    module with fixed filters is one held in eval mode.
     """
 
     def __init__(self, channels, pad_size=1, learning_rate=0.01):
@@ -188,27 +188,18 @@ class PaddingModule:
             raise ValueError(f"pad_size must be >= 1, got {pad_size}")
         self.filters = FilterBank(channels, learning_rate=learning_rate)
         self.pad_size = int(pad_size)
-        self.mode = "train"
-        self.frozen = False
+        self.training = True
         self.cache = None
         self.last_local_mse = float("nan")
 
     # -- mode control ---------------------------------------------------------
 
     def train(self):
-        if not self.frozen:
-            self.mode = "train"
+        self.training = True
         return self
 
     def eval(self):
-        self.mode = "eval"
-        self.cache = None
-        return self
-
-    def freeze(self):
-        """Stop training the filters for the rest of the run."""
-        self.frozen = True
-        self.mode = "eval"
+        self.training = False
         self.cache = None
         return self
 
@@ -243,10 +234,10 @@ class PaddingModule:
         self.cache = None  # a forward that raises leaves nothing to update from
         x4, ndim = self._as_batch(x, "forward")
         n, h, w, _ = x4.shape
-        min_side = 4 if self.mode == "train" else 2
+        min_side, mode = (4, "train") if self.training else (2, "eval")
         if h < min_side or w < min_side:
             raise ValueError(
-                f"{self.mode}-mode forward needs H,W >= {min_side}, got {h}x{w}"
+                f"{mode}-mode forward needs H,W >= {min_side}, got {h}x{w}"
             )
         s = self.pad_size
         dtype = np.result_type(x4, self.filters.weights)
@@ -262,7 +253,7 @@ class PaddingModule:
             raise FloatingPointError(
                 "padding produced non-finite values (divergent local filters?)"
             )
-        if self.mode == "train":
+        if self.training:
             # supervision comes from the original input only, never from
             # already-padded rings
             self.cache = (_pair_stats(self.filters.weights, x4), x4.shape)
@@ -306,7 +297,7 @@ class PaddingModule:
         """
         if g is not None:
             g4, ndim = self._as_batch(g, "backward")
-        if self.mode == "train":
+        if self.training:
             if self.cache is None:
                 raise RuntimeError("backward without a train-mode forward")
             n, h, w, c = self.cache[1]

@@ -41,7 +41,7 @@ def _conv_pair(cin, cout, make_padding):
 
 _PADDINGS = {
     "zero": lambda c: ZeroPad(1),
-    "frozen_module": lambda c: random_module(c, seed=1).freeze(),
+    "frozen_module": lambda c: random_module(c, seed=1).eval(),
     "training_module": lambda c: random_module(c, seed=1),
 }
 
@@ -485,9 +485,11 @@ class TestNetworkAssembly:
         assert net.modules == []
 
     def test_meaninterp_modules_frozen_and_untracked(self):
+        # untracked, so a network-wide train() leaves them in eval mode
         net = build_tiny4(NetworkSpec(padding="meaninterp", positions="all"), seed=0)
+        net.train()
         convs = [l for l in net.layers if isinstance(l, Conv2D)]
-        assert all(isinstance(c.padding, PaddingModule) and c.padding.frozen
+        assert all(isinstance(c.padding, PaddingModule) and not c.padding.training
                    for c in convs)
         assert net.modules == []
 

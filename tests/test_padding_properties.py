@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
-                                 precondition, rule)
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from conftest import module_with
 from padding_reference import local_mse_and_grad, pad_plane
@@ -142,10 +141,9 @@ class ModuleStateMachine(RuleBasedStateMachine):
     """One module through any sequence of mode switches, passes and updates.
 
     `armed` models the cache: set by a train-mode forward that succeeded,
-    dropped by eval, freeze, a forward that raises and whatever consumes
-    the cache (the update, and a train-mode backward). Every run starts
-    armed and eval is drawn only while armed: freeze is absorbing, so
-    otherwise eval almost never meets a cache to drop.
+    dropped by eval, a forward that raises and whatever consumes the cache
+    (the update, and a train-mode backward). Every run starts armed, so
+    that eval often meets a cache to drop.
     """
 
     X_SHAPE = (2, 5, 6, 2)
@@ -156,26 +154,17 @@ class ModuleStateMachine(RuleBasedStateMachine):
         self.mod = PaddingModule(2, pad_size=2, learning_rate=0.05)
         self.mod.filters.weights = np.random.default_rng(0).uniform(-0.1, 0.1, (2, 3))
         self.armed = False
-        self.frozen_weights = None
 
     def updates(self):
-        return self.mod.mode == "train" and not self.mod.frozen
+        return self.mod.training
 
     @rule()
     def train(self):
         self.mod.train()
 
-    @precondition(lambda self: self.armed)
     @rule()
     def eval(self):
         self.mod.eval()
-        self.armed = False
-
-    @rule()
-    def freeze(self):
-        self.mod.freeze()
-        if self.frozen_weights is None:
-            self.frozen_weights = self.mod.filters.weights.copy()
         self.armed = False
 
     @initialize(seed=st.integers(0, 2**16))
@@ -192,7 +181,7 @@ class ModuleStateMachine(RuleBasedStateMachine):
                 self.mod.forward(x)
             return
         assert self.mod.forward(x).shape == self.OUT_SHAPE
-        self.armed = self.mod.mode == "train"
+        self.armed = self.mod.training
 
     def _backward(self, g):
         before = self.mod.filters.weights.copy()
@@ -231,24 +220,17 @@ class ModuleStateMachine(RuleBasedStateMachine):
     def supervision_mse(self, seed):
         x = np.random.default_rng(seed).normal(size=self.X_SHAPE)
         mod = self.mod
-        before = (mod.filters.weights.copy(), mod.cache, mod.mode, mod.frozen,
+        before = (mod.filters.weights.copy(), mod.cache, mod.training,
                   mod.last_local_mse)
         assert np.isfinite(mod.supervision_mse(x))
         assert np.array_equal(mod.filters.weights, before[0])
         assert mod.cache is before[1]
-        assert (mod.mode, mod.frozen) == before[2:4]
-        assert np.array_equal(mod.last_local_mse, before[4], equal_nan=True)
+        assert mod.training == before[2]
+        assert np.array_equal(mod.last_local_mse, before[3], equal_nan=True)
 
     @invariant()
     def cache_tracks_the_last_train_forward(self):
         assert (self.mod.cache is not None) == self.armed
-
-    @invariant()
-    def frozen_stays_frozen(self):
-        assert self.mod.frozen == (self.frozen_weights is not None)
-        if self.mod.frozen:
-            assert self.mod.mode == "eval"
-            assert np.array_equal(self.mod.filters.weights, self.frozen_weights)
 
 
 ModuleStateMachine.TestCase.settings = settings(max_examples=50, stateful_step_count=30)

@@ -1,4 +1,4 @@
-import sys
+import inspect
 
 import numpy as np
 import pytest
@@ -76,8 +76,7 @@ class TestTrainLoop:
             local_update(module)
             mses.append(module.last_local_mse)
 
-        # the `padlearn.nn.train` attribute is the function, so look the module up
-        monkeypatch.setattr(sys.modules[train.__module__], "softmax_xent", recording_xent)
+        monkeypatch.setattr("padlearn.nn.train.softmax_xent", recording_xent)
         monkeypatch.setattr(PaddingModule, "local_update", recording_update)
         x, y, xt, yt = small_dataset
         _, rows = train(NetworkSpec(padding="module", positions="first"), x, y, xt, yt,
@@ -143,6 +142,13 @@ class TestFreeze:
         for m in net.modules:
             assert np.array_equal(m.filters.weights,
                                   np.full_like(m.filters.weights, 1.0 / 3.0))
+
+
+def test_train_submodule_is_not_shadowed():
+    # `padlearn.nn` must not bind the name `train` to the training function
+    import padlearn.nn.train as m
+    assert inspect.ismodule(m)
+    assert m.softmax_xent is softmax_xent
 
 
 def test_evaluate_matches_manual(cifar_dir):
